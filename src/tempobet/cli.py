@@ -24,8 +24,7 @@ import time
 from fractions import Fraction
 
 from .costs import ConfigError, get_criterion
-from .driver import node_betweenness, single_source_edge_betweenness
-from .estimator import check_beta, check_criterion
+from .driver import check_beta, node_betweenness, single_source_edge_betweenness
 from .graph import (
     ParseError,
     TemporalGraph,
@@ -99,6 +98,15 @@ def _parse_sources(arg: str, graph: TemporalGraph) -> list[int] | None:
     return out
 
 
+def _int_token(token: str) -> int | str:
+    """``--beta`` value: an integer token as int, anything else as text
+    for check_beta to accept ("inf") or reject."""
+    try:
+        return int(token)
+    except ValueError:
+        return token
+
+
 def _summary(graph: TemporalGraph, criterion: str, beta, wall: float) -> None:
     beta_str = "inf" if beta is None else str(beta)
     print(
@@ -109,7 +117,7 @@ def _summary(graph: TemporalGraph, criterion: str, beta, wall: float) -> None:
 
 
 def cmd_compute(args) -> int:
-    check_criterion(args.criterion)
+    get_criterion(args.criterion)
     beta = check_beta(args.beta)
     graph = _read_graph(args.input, args.undirected)
     sources = _parse_sources(args.sources, graph)
@@ -170,7 +178,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    check_criterion(args.criterion)
+    crit = get_criterion(args.criterion)
     beta = check_beta(args.beta)
     graph = _read_graph(args.input, args.undirected)
     rep = build_sorted_representation(graph)
@@ -183,7 +191,6 @@ def cmd_bench(args) -> int:
         sample = sorted(rng.sample(range(graph.n), min(graph.n, 3))) if graph.n else []
     else:
         sample = sources
-    crit = get_criterion(args.criterion)
     times = []
     for r in range(args.reps):
         start = time.perf_counter()
@@ -215,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="node betweenness via the fast engines")
     add_io(p)
     p.add_argument("--criterion", default="sh")
-    p.add_argument("--beta", default="inf")
+    p.add_argument("--beta", default="inf", type=_int_token)
     p.add_argument("--mode", default="exact", choices=["exact", "fast"])
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--sources", default="all")
@@ -224,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="node betweenness via brute force")
     add_io(p)
     p.add_argument("--criterion", default="sh")
-    p.add_argument("--beta", default="inf")
+    p.add_argument("--beta", default="inf", type=_int_token)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("static", help="Brandes betweenness of the underlying graph")
@@ -241,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="median timing of per-source runs")
     add_io(p, output=False)
     p.add_argument("--criterion", default="sh")
-    p.add_argument("--beta", default="inf")
+    p.add_argument("--beta", default="inf", type=_int_token)
     p.add_argument("--mode", default="fast", choices=["exact", "fast"])
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)

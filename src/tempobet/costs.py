@@ -1,13 +1,17 @@
-"""Walk-cost algebra and the seven optimality criteria.
+"""The seven optimality criteria as a table of plain functions.
 
-A cost structure is (domain, per-edge cost, combination, total order);
-costs fold left-to-right along a walk.  Every structure used here is
-strictly right-isotone: c1 < c2 implies c1 + c < c2 + c, which is what
-lets the engines count optimal walks edge by edge.
+A criterion is three functions over cost values that are ints or
+(int, int) tuples, compared with Python's own ``<`` and ``==`` (tuples
+lexicographically):
 
-A target cost structure scores a *finished* walk from its last edge and
-its folded cost.  Minimising the target cost under the criterion's order
-defines the optimal walks:
+    gamma(dep)       cost of one edge, from its departure time
+    combine(a, b)    folds costs left to right along a walk
+    tc(arr, cost)    target cost of a finished walk, from its last
+                     arrival and its folded cost
+
+Every cost domain here is strictly right-isotone: c1 < c2 implies
+combine(c1, c) < combine(c2, c), which is what lets the engines count
+optimal walks edge by edge.  Minimising tc defines the optimal walks:
 
     sh   fewest edges
     fo   earliest arrival
@@ -17,14 +21,14 @@ defines the optimal walks:
     sfa  smallest duration, then fewest edges
     sla  latest departure, then fewest edges
 
-Cost values are ints or (int, int) tuples, so comparisons stay cheap.
-Infinite/unreachable values are represented as None sentinels and are
-never combined or compared through the structure operations.
+fo's cost domain is the constant 0: every walk to an edge is equally
+good (0 < 0 is false, 0 == 0 is true).  Unreachable values are None
+sentinels and are never combined or compared.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Union
 
 from .graph import TemporalEdge
 
@@ -33,93 +37,47 @@ class ConfigError(ValueError):
     """Unknown criterion name or otherwise invalid configuration."""
 
 
-Cost = object  # int | tuple[int, int] | 0-sentinel; kept loose on purpose
-
-
-@dataclass(frozen=True)
-class CostStructure:
-    name: str
-    gamma: Callable[[TemporalEdge], Cost]
-    combine: Callable[[Cost, Cost], Cost]
-    leq: Callable[[Cost, Cost], bool]
-
-    def less(self, a: Cost, b: Cost) -> bool:
-        return self.leq(a, b) and not self.leq(b, a)
-
-    def eq(self, a: Cost, b: Cost) -> bool:
-        return self.leq(a, b) and self.leq(b, a)
-
-
-@dataclass(frozen=True)
-class TargetCostStructure:
-    name: str
-    leq: Callable[[Cost, Cost], bool]
-
-    def less(self, a: Cost, b: Cost) -> bool:
-        return self.leq(a, b) and not self.leq(b, a)
-
-    def eq(self, a: Cost, b: Cost) -> bool:
-        return self.leq(a, b) and self.leq(b, a)
+Cost = Union[int, tuple[int, int]]
 
 
 @dataclass(frozen=True)
 class Criterion:
-    """A named criterion: cost structure, target structure, and the
-    function mapping (last edge, folded cost) to the final score."""
+    """A named criterion: edge cost, cost fold and target cost."""
 
     name: str
-    cost: CostStructure
-    target: TargetCostStructure
-    tc: Callable[[TemporalEdge, Cost], Cost]
+    gamma: Callable[[int], Cost]
+    combine: Callable[[Cost, Cost], Cost]
+    tc: Callable[[int, Cost], Cost]
 
 
-def _lex_leq(a, b) -> bool:
-    return a[0] < b[0] or (a[0] == b[0] and a[1] <= b[1])
+def _add(a, b):
+    return a + b
 
 
-ALL_COST = CostStructure(
-    "all",
-    gamma=lambda e: 0,
-    combine=lambda a, b: 0,
-    leq=lambda a, b: True,
-)
+def _first(a, b):
+    return a
 
-SHORTEST_COST = CostStructure(
-    "shortest",
-    gamma=lambda e: 1,
-    combine=lambda a, b: a + b,
-    leq=lambda a, b: a <= b,
-)
 
-LATEST_COST = CostStructure(
-    "latest",
-    gamma=lambda e: -e.dep,
-    combine=lambda a, b: a,
-    leq=lambda a, b: a <= b,
-)
+def _first_add_hops(a, b):
+    return (a[0], a[1] + b[1])
 
-SHORTEST_LATEST_COST = CostStructure(
-    "shortest-latest",
-    gamma=lambda e: (-e.dep, 1),
-    combine=lambda a, b: (a[0], a[1] + b[1]),
-    leq=_lex_leq,
-)
 
-NATURAL_TARGET = TargetCostStructure("natural", leq=lambda a, b: a <= b)
-LEXICOGRAPHIC_TARGET = TargetCostStructure("lexicographic", leq=_lex_leq)
+def _folded(arr, c):
+    return c
 
-COST_STRUCTURES = [ALL_COST, SHORTEST_COST, LATEST_COST, SHORTEST_LATEST_COST]
 
 _CRITERIA: dict[str, Criterion] = {
-    "sh": Criterion("sh", SHORTEST_COST, NATURAL_TARGET, lambda e, c: c),
-    "fo": Criterion("fo", ALL_COST, NATURAL_TARGET, lambda e, c: e.arr),
-    "fa": Criterion("fa", LATEST_COST, NATURAL_TARGET, lambda e, c: e.arr + c),
-    "la": Criterion("la", LATEST_COST, NATURAL_TARGET, lambda e, c: c),
-    "sfo": Criterion("sfo", SHORTEST_COST, LEXICOGRAPHIC_TARGET, lambda e, c: (e.arr, c)),
-    "sfa": Criterion(
-        "sfa", SHORTEST_LATEST_COST, LEXICOGRAPHIC_TARGET, lambda e, c: (e.arr + c[0], c[1])
-    ),
-    "sla": Criterion("sla", SHORTEST_LATEST_COST, LEXICOGRAPHIC_TARGET, lambda e, c: c),
+    c.name: c
+    for c in (
+        Criterion("sh", lambda dep: 1, _add, _folded),
+        Criterion("fo", lambda dep: 0, lambda a, b: 0, lambda arr, c: arr),
+        Criterion("fa", lambda dep: -dep, _first, lambda arr, c: arr + c),
+        Criterion("la", lambda dep: -dep, _first, _folded),
+        Criterion("sfo", lambda dep: 1, _add, lambda arr, c: (arr, c)),
+        Criterion("sfa", lambda dep: (-dep, 1), _first_add_hops,
+                  lambda arr, c: (arr + c[0], c[1])),
+        Criterion("sla", lambda dep: (-dep, 1), _first_add_hops, _folded),
+    )
 }
 
 CRITERION_NAMES = tuple(_CRITERIA)
@@ -129,7 +87,7 @@ def get_criterion(name: str) -> Criterion:
     """Look up a criterion by its lowercase token (sh, sfo, fa, fo, sfa, la, sla)."""
     try:
         return _CRITERIA[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ConfigError(
             f"unknown criterion {name!r}; expected one of {', '.join(_CRITERIA)}"
         ) from None
@@ -139,12 +97,12 @@ def walk_cost(walk: Sequence[TemporalEdge], criterion: Criterion) -> Cost:
     """Fold the per-edge costs of a non-empty walk, left to right."""
     if not walk:
         raise ValueError("walk_cost of an empty walk is undefined")
-    acc = criterion.cost.gamma(walk[0])
+    acc = criterion.gamma(walk[0].dep)
     for e in walk[1:]:
-        acc = criterion.cost.combine(acc, criterion.cost.gamma(e))
+        acc = criterion.combine(acc, criterion.gamma(e.dep))
     return acc
 
 
 def walk_target_cost(walk: Sequence[TemporalEdge], criterion: Criterion) -> Cost:
-    """Target cost of a finished walk: tc(last edge, folded cost)."""
-    return criterion.tc(walk[-1], walk_cost(walk, criterion))
+    """Target cost of a finished walk: tc(last arrival, folded cost)."""
+    return criterion.tc(walk[-1].arr, walk_cost(walk, criterion))

@@ -48,11 +48,38 @@ def _resolve_criterion(criterion: str | Criterion) -> Criterion:
     return get_criterion(criterion)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def check_beta(beta) -> int | None:
+    """Accept None, 'inf', or a non-negative int; return the sentinel form."""
+    if beta is None or beta == "inf":
+        return None
+    if not _is_int(beta) or beta < 0:
+        raise ConfigError(f"beta must be a non-negative integer or 'inf', got {beta!r}")
+    return beta
+
+
+def _check_sources(graph: TemporalGraph, sources: Sequence[int] | None) -> list[int]:
+    if sources is None:
+        return list(range(graph.n))
+    src_list = list(sources)
+    for s in src_list:
+        if not _is_int(s) or not 0 <= s < graph.n:
+            raise ConfigError(f"source {s!r} is not a node id below {graph.n}")
+    if len(set(src_list)) != len(src_list):
+        raise ConfigError("sources must not repeat")
+    return src_list
+
+
 def _pick_engine(criterion: Criterion, beta: int | None, engine: str) -> str:
     if engine == "auto":
         if beta is None and criterion.name in ("sh", "sfo"):
             return "nonrestless"
         return "restless"
+    if engine not in ("nonrestless", "restless"):
+        raise ConfigError(f"unknown engine {engine!r}; expected auto, nonrestless or restless")
     if engine == "nonrestless" and (beta is not None or criterion.name not in ("sh", "sfo")):
         raise ConfigError("nonrestless engine requires beta=inf and sh/sfo")
     return engine
@@ -199,16 +226,18 @@ def node_betweenness(
     partial sums over just those sources (the result is additive over
     disjoint source sets).  ``mode`` is "exact" (rationals) or "fast"
     (float accumulation; raises NumericOverflowError if walk counts
-    exceed float range).
+    exceed float range).  Every argument is checked here, and a bad one
+    raises ConfigError; ``beta`` also accepts "inf" for unrestricted.
     """
     if mode not in ("exact", "fast"):
         raise ConfigError(f"unknown mode {mode!r}; expected exact or fast")
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
+    if not _is_int(workers) or workers < 1:
+        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     crit = _resolve_criterion(criterion)
+    beta = check_beta(beta)
     _pick_engine(crit, beta, engine)
+    src_list = _check_sources(graph, sources)
     exact = mode == "exact"
-    src_list = list(range(graph.n)) if sources is None else list(sources)
 
     per_source: dict[int, list] = {}
     if workers == 1 or len(src_list) <= 1:

@@ -10,31 +10,9 @@ from __future__ import annotations
 import inspect
 import os
 
-from .costs import ConfigError, CRITERION_NAMES
+from .costs import ConfigError
 from .driver import NodeBetweenness, node_betweenness
 from .graph import TemporalGraph, parse_edge_list
-
-
-def check_criterion(name: str) -> str:
-    if name not in CRITERION_NAMES:
-        raise ConfigError(
-            f"criterion must be one of {', '.join(CRITERION_NAMES)}; got {name!r}"
-        )
-    return name
-
-
-def check_beta(beta) -> int | None:
-    """Accept None, 'inf', or a non-negative int; return the sentinel form."""
-    if beta is None or beta == "inf":
-        return None
-    if isinstance(beta, bool) or not isinstance(beta, int):
-        try:
-            beta = int(beta)
-        except (TypeError, ValueError):
-            raise ConfigError(f"beta must be a non-negative integer or 'inf', got {beta!r}")
-    if beta < 0:
-        raise ConfigError(f"beta must be non-negative, got {beta}")
-    return beta
 
 
 def as_temporal_graph(X, undirected: bool = False) -> TemporalGraph:
@@ -95,13 +73,11 @@ class TemporalBetweenness(_ParamsMixin):
         self.undirected = undirected
 
     def fit(self, X, y=None) -> "TemporalBetweenness":
-        check_criterion(self.criterion)
-        beta = check_beta(self.beta)
         graph = as_temporal_graph(X, undirected=self.undirected)
         self.result_: NodeBetweenness = node_betweenness(
             graph,
             criterion=self.criterion,
-            beta=beta,
+            beta=self.beta,
             mode=self.mode,
             workers=self.workers,
         )

@@ -16,11 +16,6 @@ import random
 from dataclasses import dataclass, field
 from typing import TextIO
 
-#: Waiting bound meaning "unrestricted"; kept as a distinct sentinel and
-#: never used in arithmetic.
-INFINITY = None
-
-
 class ParseError(ValueError):
     """Raised for malformed edge-list input; carries the line number."""
 
@@ -47,14 +42,11 @@ class TemporalEdge:
 class TemporalGraph:
     """A multigraph of temporal edges over dense 0-based node ids.
 
-    ``beta`` is the maximum waiting time between consecutive edges of a
-    walk; ``None`` means unrestricted waiting.  ``labels[i]`` holds the
-    original string label of node ``i``.
+    ``labels[i]`` holds the original string label of node ``i``.
     """
 
     n: int
     edges: list[TemporalEdge]
-    beta: int | None = INFINITY
     labels: list[str] = field(default_factory=list)
     label_ids: dict[str, int] = field(default_factory=dict)
 
@@ -71,9 +63,6 @@ class TemporalGraph:
     @property
     def distinct_departures(self) -> int:
         return len({e.dep for e in self.edges})
-
-    def with_beta(self, beta: int | None) -> "TemporalGraph":
-        return TemporalGraph(self.n, self.edges, beta, self.labels, self.label_ids)
 
 
 @dataclass
@@ -171,7 +160,7 @@ def parse_edge_list(
         if undirected:
             edges.append(TemporalEdge(v, u, dep, travel))
 
-    return TemporalGraph(len(labels), edges, INFINITY, labels, ids)
+    return TemporalGraph(len(labels), edges, labels, ids)
 
 
 def to_edge_list(graph: TemporalGraph) -> str:

@@ -72,9 +72,6 @@ class BackwardState:
     edge_target_count: list[int]
     edge_bc: list[object]
 
-    def reachable(self, v: int) -> bool:
-        return self.target_count[v] > 0
-
 
 def forward_phase(rep: SortedRepresentation, source: int) -> ForwardState:
     """Scan edges by arrival, counting minimum-hop walks from ``source``.
@@ -157,32 +154,29 @@ def intermediate_phase(
     Generic over criteria: works for any cost domain the forward pass
     produced, which is why the restless engine reuses it.
     """
-    graph = rep.graph
-    n, m = graph.n, rep.m
-    heads, e_arr = rep.heads, rep.e_arr
+    n, m = rep.graph.n, rep.m
+    heads, arrs = rep.heads, rep.arrs
     tc = criterion.tc
-    t_less = criterion.target.less
 
     best_target: list[object] = [None] * n
     edge_tc: list[object] = [None] * m
     for k in range(m):
         if not edge_count[k]:
             continue
-        val = tc(graph.edges[e_arr[k]], edge_cost[k])
+        val = tc(arrs[k], edge_cost[k])
         edge_tc[k] = val
         v = heads[k]
         cur = best_target[v]
-        if cur is None or t_less(val, cur):
+        if cur is None or val < cur:
             best_target[v] = val
 
     target_count = [0] * n
     edge_target_count = [0] * m
-    t_eq = criterion.target.eq
     for k in range(m):
         if not edge_count[k]:
             continue
         v = heads[k]
-        if t_eq(edge_tc[k], best_target[v]):
+        if edge_tc[k] == best_target[v]:
             edge_target_count[k] = edge_count[k]
             target_count[v] += edge_count[k]
 

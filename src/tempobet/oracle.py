@@ -36,7 +36,7 @@ def g_toy() -> TemporalGraph:
         TemporalEdge(2, 3, 3, 1),  # c->d
         TemporalEdge(1, 3, 4, 1),  # b->d
     ]
-    return TemporalGraph(4, edges, None, labels)
+    return TemporalGraph(4, edges, labels)
 
 
 def g_loop() -> TemporalGraph:
@@ -48,7 +48,7 @@ def g_loop() -> TemporalGraph:
         TemporalEdge(2, 1, 3, 1),  # y->x
         TemporalEdge(1, 3, 4, 1),  # x->z
     ]
-    return TemporalGraph(4, edges, None, labels)
+    return TemporalGraph(4, edges, labels)
 
 
 def enumerate_walks(
@@ -125,8 +125,6 @@ def oracle_betweenness(
     """
     rep = OracleReport(criterion.name, beta)
     rep.node_bc = [Fraction(0)] * graph.n
-    cost = criterion.cost
-    target = criterion.target
 
     for s in range(graph.n):
         if walks_by_source is not None and s in walks_by_source:
@@ -145,11 +143,11 @@ def oracle_betweenness(
             costs.append(c)
             last = walk[-1]
             prev = best_cost_to_edge.get(last)
-            if prev is None or cost.less(c, prev):
+            if prev is None or c < prev:
                 best_cost_to_edge[last] = c
         for walk, c in zip(walks, costs):
             last = walk[-1]
-            if cost.eq(c, best_cost_to_edge[last]):
+            if c == best_cost_to_edge[last]:
                 rep.sigma_se[(s, last)] = rep.sigma_se.get((s, last), 0) + 1
 
         # Theta-optimal walks per target node (targets other than s).
@@ -157,20 +155,20 @@ def oracle_betweenness(
         targets = []
         for walk, c in zip(walks, costs):
             last = edge_objs[walk[-1]]
-            tc = criterion.tc(last, c)
+            tc = criterion.tc(last.arr, c)
             targets.append(tc)
             t = last.head
             if t == s:
                 continue
             prev = best_to_node.get(t)
-            if prev is None or target.less(tc, prev):
+            if prev is None or tc < prev:
                 best_to_node[t] = tc
 
         theta_suffixes: dict[tuple[int, int, int], set[tuple[int, ...]]] = {}
         local_set: dict[tuple[int, int], int] = {}
         for walk, tc in zip(walks, targets):
             t = edge_objs[walk[-1]].head
-            if t == s or not target.eq(tc, best_to_node[t]):
+            if t == s or tc != best_to_node[t]:
                 continue
             key = (s, t)
             rep.sigma_star_st[key] = rep.sigma_star_st.get(key, 0) + 1

@@ -83,19 +83,17 @@ class RestlessScan:
 
 def new_scan(rep: SortedRepresentation, criterion: Criterion) -> RestlessScan:
     m = rep.m
-    gamma = criterion.cost.gamma
-    gammas = [gamma(rep.graph.edges[rep.e_arr[k]]) for k in range(m)]
     return RestlessScan(
         rep=rep,
         criterion=criterion,
-        gammas=gammas,
+        gammas=[criterion.gamma(dep) for dep in rep.deps],
         edge_cost=[None] * m,
         edge_count=[0] * m,
         succ_lo=[0] * m,
         succ_hi=[-1] * m,
         intervals=[deque() for _ in range(rep.graph.n)],
         frontier=[0] * rep.graph.n,
-        stats={"quintuples": 0, "finalised": 0, "pred_consumed": 0},
+        stats={"quintuples": 0, "finalised": 0, "pred_consumed": 0, "window_ops": 0},
     )
 
 
@@ -114,9 +112,9 @@ def finalise_up_to(scan: RestlessScan, v: int, j: int) -> None:
     ivs = scan.intervals[v]
     edge_cost, edge_count = scan.edge_cost, scan.edge_count
     succ_hi = scan.succ_hi
-    combine = scan.criterion.cost.combine
+    combine = scan.criterion.combine
     gammas = scan.gammas
-    stats = scan.stats
+    finalised = consumed = 0
     while ivs:
         q = ivs[0]
         if q.lo > j:
@@ -124,14 +122,14 @@ def finalise_up_to(scan: RestlessScan, v: int, j: int) -> None:
         preds = q.preds
         while preds and succ_hi[preds[0]] <= j:
             p = preds.popleft()
-            stats["pred_consumed"] += 1
+            consumed += 1
             rp = succ_hi[p]
-            for pos in range(q.lo, rp + 1):
-                f = lst[pos]
-                edge_cost[f] = combine(q.cost, gammas[f])
-                edge_count[f] = q.eta
-                stats["finalised"] += 1
             if rp >= q.lo:
+                for pos in range(q.lo, rp + 1):
+                    f = lst[pos]
+                    edge_cost[f] = combine(q.cost, gammas[f])
+                    edge_count[f] = q.eta
+                finalised += rp + 1 - q.lo
                 q.lo = rp + 1
             q.eta -= edge_count[p]
         if q.hi <= j:
@@ -143,10 +141,12 @@ def finalise_up_to(scan: RestlessScan, v: int, j: int) -> None:
                 f = lst[pos]
                 edge_cost[f] = combine(q.cost, gammas[f])
                 edge_count[f] = q.eta
-                stats["finalised"] += 1
+            finalised += j + 1 - q.lo
             q.lo = j + 1
             break
     scan.frontier[v] = j + 1
+    scan.stats["finalised"] += finalised
+    scan.stats["pred_consumed"] += consumed
 
 
 def restless_forward(
@@ -157,11 +157,7 @@ def restless_forward(
     debug_invariants: bool = False,
 ) -> RestlessScan:
     """Optimal-walk cost and count per edge under waiting bound ``beta``."""
-    graph = rep.graph
-    n, m = graph.n, rep.m
-    cost = criterion.cost
-    c_less, c_eq = cost.less, cost.eq
-
+    n, m = rep.graph.n, rep.m
     scan = new_scan(rep, criterion)
     gammas = scan.gammas
     edge_cost, edge_count = scan.edge_cost, scan.edge_count
@@ -182,10 +178,10 @@ def restless_forward(
         if u == source:
             # merge in the single-edge walk as one more candidate
             g = gammas[k]
-            if not edge_count[k] or c_less(g, edge_cost[k]):
+            if not edge_count[k] or g < edge_cost[k]:
                 edge_cost[k] = g
                 edge_count[k] = 1
-            elif c_eq(g, edge_cost[k]):
+            elif g == edge_cost[k]:
                 edge_count[k] += 1
         if not edge_count[k]:
             continue
@@ -221,10 +217,10 @@ def restless_forward(
         ivs = intervals[v]
         ck = edge_cost[k]
         new_lo = ivs[-1].hi + 1 if ivs else max(ws, frontier[v])
-        while ivs and c_less(ck, ivs[-1].cost):
+        while ivs and ck < ivs[-1].cost:
             new_lo = ivs[-1].lo
             ivs.pop()
-        if ivs and c_eq(ivs[-1].cost, ck):
+        if ivs and ivs[-1].cost == ck:
             q = ivs[-1]
             q.hi = we
             q.preds.append(k)
@@ -263,9 +259,8 @@ def restless_backward(
     class (a successor must extend that exact cost, so sums for one
     class are useless for another).
     """
-    graph = rep.graph
-    n, m = graph.n, rep.m
-    combine = criterion.cost.combine
+    n, m = rep.graph.n, rep.m
+    combine = criterion.combine
     heads = rep.heads
     e_dep_node = rep.e_dep_node
     gammas = fwd.gammas
@@ -273,8 +268,7 @@ def restless_backward(
     edge_cost, edge_count = fwd.edge_cost, fwd.edge_count
     succ_lo, succ_hi = fwd.succ_lo, fwd.succ_hi
     edge_target_count, target_count = back.edge_target_count, back.target_count
-    stats = fwd.stats
-    stats.setdefault("window_ops", 0)
+    window_ops = 0
 
     zero = Fraction(0) if exact else 0.0
     edge_bc: list = [zero] * m
@@ -301,25 +295,26 @@ def restless_backward(
                     f = lst[pos]
                     if edge_count[f] and edge_cost[f] == combine(cls, gammas[f]):
                         d += edge_bc[f] / edge_count[f]
-                stats["window_ops"] += hi - lo + 1
+                window_ops += hi - lo + 1
                 cur_lo[v], cur_hi[v] = lo, hi
                 cur_class[v] = cls
                 has_class[v] = True
             else:
-                while cur_hi[v] > hi:
-                    pos = cur_hi[v]
+                old_hi, old_lo = cur_hi[v], cur_lo[v]
+                for pos in range(old_hi, hi, -1):
                     f = lst[pos]
                     if edge_count[f] and edge_cost[f] == combine(cls, gammas[f]):
                         d -= edge_bc[f] / edge_count[f]
-                    cur_hi[v] = pos - 1
-                    stats["window_ops"] += 1
-                while cur_lo[v] > lo:
-                    pos = cur_lo[v] - 1
+                for pos in range(old_lo - 1, lo - 1, -1):
                     f = lst[pos]
                     if edge_count[f] and edge_cost[f] == combine(cls, gammas[f]):
                         d += edge_bc[f] / edge_count[f]
-                    cur_lo[v] = pos
-                    stats["window_ops"] += 1
+                if old_hi > hi:
+                    window_ops += old_hi - hi
+                    cur_hi[v] = hi
+                if old_lo > lo:
+                    window_ops += old_lo - lo
+                    cur_lo[v] = lo
             delta[v] = d
             if d:
                 score = cnt * d
@@ -328,6 +323,7 @@ def restless_backward(
             score = score + _ratio(etc, target_count[v], exact)
         edge_bc[k] = score
 
+    fwd.stats["window_ops"] += window_ops
     back.edge_bc = edge_bc
     return edge_bc
 

@@ -18,7 +18,6 @@ import pytest
 from tempobet.costs import CRITERION_NAMES, get_criterion, walk_cost
 from tempobet.driver import node_betweenness
 from tempobet.graph import (
-    TemporalEdge,
     TemporalGraph,
     build_sorted_representation,
     random_temporal_graph,
@@ -127,14 +126,14 @@ def _check_facts(g, crit, beta, orc, walks_cache, failures) -> None:
             c = walk_cost([g.edges[i] for i in w], crit)
             costs.append(c)
             last = w[-1]
-            if last not in best or crit.cost.less(c, best[last]):
+            if last not in best or c < best[last]:
                 best[last] = c
         for w, c in zip(walks, costs):
-            if not crit.cost.eq(c, best[w[-1]]):
+            if c != best[w[-1]]:
                 continue
             for cut in range(1, len(w)):
                 pc = walk_cost([g.edges[i] for i in w[:cut]], crit)
-                if not crit.cost.eq(pc, best[w[cut - 1]]):
+                if pc != best[w[cut - 1]]:
                     failures["facts"].append((tag, "prefix", s, w))
                     break
 
@@ -196,43 +195,31 @@ def test_criterion_3_fixture_values():
 
 
 def test_criterion_4_algebraic_laws():
-    from tempobet.costs import COST_STRUCTURES
-
     rng = random.Random(4)
     violations = 0
 
-    def sample(structure):
-        if structure.name == "all":
+    def sample(name):
+        if name == "fo":
             return 0
-        if structure.name == "shortest":
+        if name in ("sh", "sfo"):
             return rng.randint(0, 100)
-        if structure.name == "latest":
+        if name in ("fa", "la"):
             return rng.randint(-100, 100)
         return (rng.randint(-100, 100), rng.randint(0, 100))
 
-    for structure in COST_STRUCTURES:
-        for _ in range(10_000):
-            c1, c2, c = sample(structure), sample(structure), sample(structure)
-            if structure.less(c1, c2) and not structure.less(
-                structure.combine(c1, c), structure.combine(c2, c)
-            ):
-                violations += 1
     for name in CRITERION_NAMES:
         crit = get_criterion(name)
         for _ in range(10_000):
-            e = TemporalEdge(0, 1, rng.randint(1, 50), rng.randint(1, 5))
-            c1, c2 = sample(crit.cost), sample(crit.cost)
-            if crit.cost.less(c1, c2) and not crit.target.less(
-                crit.tc(e, c1), crit.tc(e, c2)
-            ):
+            c1, c2, c = sample(name), sample(name), sample(name)
+            if c1 < c2 and not crit.combine(c1, c) < crit.combine(c2, c):
+                violations += 1
+            arr = rng.randint(2, 55)
+            if c1 < c2 and not crit.tc(arr, c1) < crit.tc(arr, c2):
                 violations += 1
             # appending one edge to both walks preserves strict order
-            if crit.cost.less(c1, c2):
-                gam = crit.cost.gamma(e)
-                if not crit.cost.less(
-                    crit.cost.combine(c1, gam), crit.cost.combine(c2, gam)
-                ):
-                    violations += 1
+            gam = crit.gamma(rng.randint(1, 50))
+            if c1 < c2 and not crit.combine(c1, gam) < crit.combine(c2, gam):
+                violations += 1
     _report(
         "4 algebraic-laws",
         violations == 0,

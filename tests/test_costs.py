@@ -5,12 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tempobet.costs import (
-    ALL_COST,
-    COST_STRUCTURES,
     CRITERION_NAMES,
     ConfigError,
-    LATEST_COST,
-    SHORTEST_COST,
     get_criterion,
     walk_cost,
     walk_target_cost,
@@ -26,28 +22,28 @@ def test_unknown_criterion_rejected():
 def test_shortest_components():
     sh = get_criterion("sh")
     e = TemporalEdge(0, 1, 3, 2)
-    assert sh.cost.gamma(e) == 1
-    assert sh.cost.combine(2, 3) == 5
-    assert sh.tc(e, 4) == 4
+    assert sh.gamma(e.dep) == 1
+    assert sh.combine(2, 3) == 5
+    assert sh.tc(e.arr, 4) == 4
 
 
 def test_fastest_components_give_duration():
     fa = get_criterion("fa")
     e = TemporalEdge(0, 1, 3, 2)  # arr 5
-    assert fa.cost.gamma(e) == -3
-    assert fa.tc(e, -3) == 2
+    assert fa.gamma(e.dep) == -3
+    assert fa.tc(e.arr, -3) == 2
 
 
 def test_shortest_fastest_target_is_duration_then_hops():
     sfa = get_criterion("sfa")
     last = TemporalEdge(1, 2, 7, 2)  # arr 9
-    assert sfa.tc(last, (-3, 2)) == (6, 2)
+    assert sfa.tc(last.arr, (-3, 2)) == (6, 2)
     # cross-check against an explicit two-edge walk
     walk = [TemporalEdge(0, 1, 3, 2), TemporalEdge(1, 2, 7, 2)]
     cost = walk_cost(walk, sfa)
     assert cost == (-3, 2)
     arr, dep = walk[-1].arr, walk[0].dep
-    assert sfa.tc(walk[-1], cost) == (arr - dep, len(walk))
+    assert sfa.tc(arr, cost) == (arr - dep, len(walk))
 
 
 def test_walk_cost_single_edge_and_folds():
@@ -70,7 +66,7 @@ def test_latest_criterion_prefers_late_departure():
     la = get_criterion("la")
     early = [TemporalEdge(0, 1, 1, 1), TemporalEdge(1, 2, 5, 1)]
     late = [TemporalEdge(0, 1, 4, 1), TemporalEdge(1, 2, 5, 1)]
-    assert la.target.less(walk_target_cost(late, la), walk_target_cost(early, la))
+    assert walk_target_cost(late, la) < walk_target_cost(early, la)
 
 
 edges_st = st.builds(
@@ -82,35 +78,58 @@ edges_st = st.builds(
 )
 
 
-def _cost_values(structure, rng_ints):
-    if structure is ALL_COST:
+#: The four cost domains (gamma, combine) of the criteria table, each
+#: with the criteria that share it.
+DOMAINS = {
+    "all": ("fo",),
+    "shortest": ("sh", "sfo"),
+    "latest": ("fa", "la"),
+    "shortest-latest": ("sfa", "sla"),
+}
+DOMAIN_OF = {name: domain for domain, names in DOMAINS.items() for name in names}
+
+
+def _cost_values(name, rng_ints):
+    """Costs that walks under criterion ``name`` can fold to."""
+    domain = DOMAIN_OF[name]
+    if domain == "all":
         return [0 for _ in rng_ints]
-    if structure is SHORTEST_COST:
+    if domain == "shortest":
         return [abs(x) for x in rng_ints]
-    if structure is LATEST_COST:
+    if domain == "latest":
         return list(rng_ints)
     return [(x, abs(y) + 1) for x, y in zip(rng_ints, reversed(rng_ints))]
 
 
-@pytest.mark.parametrize("structure", COST_STRUCTURES, ids=lambda s: s.name)
-@settings(max_examples=200, deadline=None)
-@given(ints=st.lists(st.integers(-50, 50), min_size=3, max_size=3))
-def test_strict_right_isotonicity(structure, ints):
-    c1, c2, c = _cost_values(structure, ints)
-    if structure.less(c1, c2):
-        assert structure.less(structure.combine(c1, c), structure.combine(c2, c))
+def _is_cost(c) -> bool:
+    if type(c) is tuple:
+        return len(c) == 2 and all(type(x) is int for x in c)
+    return type(c) is int
 
 
-@pytest.mark.parametrize("structure", COST_STRUCTURES, ids=lambda s: s.name)
+@pytest.mark.parametrize("domain", DOMAINS)
 @settings(max_examples=200, deadline=None)
 @given(ints=st.lists(st.integers(-50, 50), min_size=3, max_size=3))
-def test_order_is_total(structure, ints):
-    c1, c2, c3 = _cost_values(structure, ints)
-    assert structure.leq(c1, c2) or structure.leq(c2, c1)
-    if structure.leq(c1, c2) and structure.leq(c2, c1):
-        assert structure.eq(c1, c2)
-    if structure.leq(c1, c2) and structure.leq(c2, c3):
-        assert structure.leq(c1, c3)
+def test_strict_right_isotonicity(domain, ints):
+    for name in DOMAINS[domain]:
+        crit = get_criterion(name)
+        c1, c2, c = _cost_values(name, ints)
+        if c1 < c2:
+            assert crit.combine(c1, c) < crit.combine(c2, c)
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+@settings(max_examples=200, deadline=None)
+@given(e=edges_st, ints=st.lists(st.integers(-50, 50), min_size=3, max_size=3))
+def test_order_is_total(domain, e, ints):
+    """Costs are compared with native < and ==, which is a total order
+    exactly when every gamma, combine and tc output is an int or a
+    2-tuple of ints (compared lexicographically)."""
+    for name in DOMAINS[domain]:
+        crit = get_criterion(name)
+        c1, c2, _ = _cost_values(name, ints)
+        outputs = [crit.gamma(e.dep), crit.combine(c1, c2), crit.tc(e.arr, c1)]
+        assert all(_is_cost(c) for c in outputs), (name, outputs)
 
 
 @pytest.mark.parametrize("name", CRITERION_NAMES)
@@ -118,9 +137,9 @@ def test_order_is_total(structure, ints):
 @given(e=edges_st, ints=st.lists(st.integers(-50, 50), min_size=3, max_size=3))
 def test_target_cost_is_increasing(name, e, ints):
     crit = get_criterion(name)
-    c1, c2, _ = _cost_values(crit.cost, ints)
-    if crit.cost.less(c1, c2):
-        assert crit.target.less(crit.tc(e, c1), crit.tc(e, c2))
+    c1, c2, _ = _cost_values(name, ints)
+    if c1 < c2:
+        assert crit.tc(e.arr, c1) < crit.tc(e.arr, c2)
 
 
 @pytest.mark.parametrize("name", CRITERION_NAMES)
@@ -134,7 +153,7 @@ def test_walk_extension_preserves_strict_order(name, data, e):
     the same edge to both."""
     crit = get_criterion(name)
     ints1 = data.draw(st.lists(st.integers(-50, 50), min_size=3, max_size=3))
-    w_cost, x_cost, _ = _cost_values(crit.cost, ints1)
-    if crit.cost.less(w_cost, x_cost):
-        g = crit.cost.gamma(e)
-        assert crit.cost.less(crit.cost.combine(w_cost, g), crit.cost.combine(x_cost, g))
+    w_cost, x_cost, _ = _cost_values(name, ints1)
+    if w_cost < x_cost:
+        g = crit.gamma(e.dep)
+        assert crit.combine(w_cost, g) < crit.combine(x_cost, g)

@@ -90,3 +90,22 @@ def test_invalid_configuration():
         node_betweenness(g, "sh", workers=0)
     with pytest.raises(ConfigError):
         node_betweenness(g, "fa", engine="nonrestless")
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"criterion": "fa", "beta": -1},
+        {"beta": 1.5},
+        {"beta": "3"},
+        {"sources": [0, 0]},
+        {"sources": [99]},
+        {"engine": "foo"},
+        {"workers": 1.5},
+    ],
+    ids=["beta-negative", "beta-float", "beta-str", "sources-repeat",
+         "sources-range", "engine-unknown", "workers-float"],
+)
+def test_bad_input_raises_config_error(toy, kwargs):
+    with pytest.raises(ConfigError):
+        node_betweenness(toy, **kwargs)

@@ -5,8 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from tempobet.costs import ConfigError
-from tempobet.driver import node_betweenness
-from tempobet.estimator import TemporalBetweenness, as_temporal_graph, check_beta
+from tempobet.driver import check_beta, node_betweenness
+from tempobet.estimator import TemporalBetweenness, as_temporal_graph
 
 TOY_TEXT = "a b 1\nb c 2\na c 2\nc d 3\nb d 4\n"
 

@@ -128,15 +128,15 @@ def test_prefix_of_optimal_walk_is_optimal(crit_name):
                 for w in walks:
                     c = walk_cost([g.edges[i] for i in w], crit)
                     last = w[-1]
-                    if last not in best or crit.cost.less(c, best[last]):
+                    if last not in best or c < best[last]:
                         best[last] = c
                 for w in walks:
                     c = walk_cost([g.edges[i] for i in w], crit)
-                    if not crit.cost.eq(c, best[w[-1]]):
+                    if c != best[w[-1]]:
                         continue
                     for cut in range(1, len(w)):
                         pc = walk_cost([g.edges[i] for i in w[:cut]], crit)
-                        assert crit.cost.eq(pc, best[w[cut - 1]])
+                        assert pc == best[w[cut - 1]]
 
 
 @pytest.mark.parametrize("crit_name", CRITERION_NAMES)

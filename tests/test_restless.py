@@ -7,13 +7,20 @@ from fractions import Fraction as F
 import pytest
 
 from tempobet.costs import CRITERION_NAMES, get_criterion
-from tempobet.graph import TemporalEdge, TemporalGraph, build_sorted_representation
+from tempobet.graph import (
+    TemporalEdge,
+    TemporalGraph,
+    build_sorted_representation,
+    random_temporal_graph,
+)
 from tempobet.nonrestless import single_source_edge_betweenness as nonrestless_run
-from tempobet.oracle import oracle_betweenness
+from tempobet.nonrestless import intermediate_phase
+from tempobet.oracle import g_loop, g_toy, oracle_betweenness
 from tempobet.restless import (
     Quintuple,
     finalise_up_to,
     new_scan,
+    restless_backward,
     restless_forward,
     single_source_edge_betweenness,
 )
@@ -184,14 +191,37 @@ def test_operation_counters_stay_linear():
             for crit_name in ("sh", "fa", "fo"):
                 crit = get_criterion(crit_name)
                 for s in range(g.n):
-                    _, back = None, None
                     fwd = restless_forward(rep, s, crit, beta)
                     assert fwd.stats["quintuples"] <= g.m
                     assert fwd.stats["finalised"] <= g.m
                     assert fwd.stats["pred_consumed"] <= g.m
-                    from tempobet.nonrestless import intermediate_phase
-                    from tempobet.restless import restless_backward
-
                     back = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, crit)
                     restless_backward(rep, s, crit, fwd, back)
                     assert fwd.stats["window_ops"] <= 4 * g.m + 4
+
+
+@pytest.mark.parametrize(
+    "graph, crit_name, beta, want",
+    [
+        (g_toy(), "sh", 0, (4, 3, 3, 4)),
+        (g_toy(), "fa", 2, (4, 4, 3, 5)),
+        (g_loop(), "sh", 1, (6, 6, 6, 6)),
+        (g_loop(), "la", 2, (5, 6, 6, 6)),
+        (random_temporal_graph(8, 40, 15, seed=7), "sfa", 3, (51, 82, 54, 91)),
+        (random_temporal_graph(8, 40, 15, seed=7), "sh", None, (59, 130, 71, 136)),
+    ],
+    ids=["toy-sh-0", "toy-fa-2", "loop-sh-1", "loop-la-2", "random-sfa-3", "random-sh-inf"],
+)
+def test_operation_counters_exact(graph, crit_name, beta, want):
+    """quintuples, finalised, pred_consumed and window_ops summed over
+    all sources are pinned exactly: bulk counting must count the same."""
+    keys = ("quintuples", "finalised", "pred_consumed", "window_ops")
+    crit = get_criterion(crit_name)
+    rep = build_sorted_representation(graph)
+    got = [0] * len(keys)
+    for s in range(graph.n):
+        fwd = restless_forward(rep, s, crit, beta)
+        back = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, crit)
+        restless_backward(rep, s, crit, fwd, back)
+        got = [g + fwd.stats[k] for g, k in zip(got, keys)]
+    assert tuple(got) == want
