@@ -35,7 +35,6 @@ from .metrics import (
     top_k_intersection,
     weighted_kendall_tau,
 )
-from .nonrestless import NumericOverflowError
 from .oracle import (
     OracleCapError,
     brandes_static,
@@ -53,7 +52,6 @@ __all__ = [
     "CRITERION_NAMES",
     "Criterion",
     "NodeBetweenness",
-    "NumericOverflowError",
     "OracleCapError",
     "ParseError",
     "RankingError",

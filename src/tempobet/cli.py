@@ -12,8 +12,8 @@ original label; rows sorted by descending score, then ascending label.
 Exact mode prints integers or p/q rationals, fast mode fixed 12
 decimals.
 
-Exit codes: 2 parse error, 3 configuration error, 4 numeric overflow in
-fast mode, 5 oracle cap exceeded, 6 ranking/label mismatch.
+Exit codes: 2 parse error, 3 configuration error, 5 oracle cap
+exceeded, 6 ranking/label mismatch.
 """
 from __future__ import annotations
 
@@ -37,7 +37,6 @@ from .oracle import OracleCapError, brandes_static, oracle_betweenness
 
 EXIT_PARSE = 2
 EXIT_CONFIG = 3
-EXIT_OVERFLOW = 4
 EXIT_ORACLE_CAP = 5
 EXIT_RANKING = 6
 
@@ -195,9 +194,7 @@ def cmd_bench(args) -> int:
     for r in range(args.reps):
         start = time.perf_counter()
         for s in sample:
-            single_source_edge_betweenness(
-                rep, s, crit, beta, exact=args.mode == "exact"
-            )
+            single_source_edge_betweenness(rep, s, crit, beta)
         times.append(time.perf_counter() - start)
         print(f"rep {r} seconds {times[-1]:.6f}")
     median = statistics.median(times)
@@ -249,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p, output=False)
     p.add_argument("--criterion", default="sh")
     p.add_argument("--beta", default="inf", type=_int_token)
-    p.add_argument("--mode", default="fast", choices=["exact", "fast"])
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sources", default="all", help="labels to time (default: seeded sample)")
@@ -269,10 +265,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OverflowError as exc:
-        # fast mode only: counts exceeded float range somewhere
-        print(f"numeric overflow: {exc} (rerun with --mode exact)", file=sys.stderr)
-        return EXIT_OVERFLOW
     except OracleCapError as exc:
         print(f"oracle cap: {exc}", file=sys.stderr)
         return EXIT_ORACLE_CAP

@@ -7,20 +7,25 @@ incoming edges minus that source's node-as-target share.  The share is
 criterion, where optimal walks may revisit their own target and the
 share needs exact revisit counts (see revisit_continuations).
 
-Sources can run in parallel workers; each worker owns its engine state
-and shares only the immutable graph, and the merge is a plain sum in
-fixed source order, so results are independent of the worker count.
+Per source, the engines return int numerators over one denominator, so
+a node's per-source score is one int sum divided once: a Fraction in
+exact mode, a float in fast mode.  Only nodes the source touches get a
+score.  The sorted representation and the revisit table are built once
+per run; sources can run in parallel workers that receive both, and
+per-source scores are added in ascending source order as they arrive,
+so results are independent of the worker count.
 """
 from __future__ import annotations
 
 import concurrent.futures
+import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import nonrestless, restless
 from .costs import ConfigError, Criterion, get_criterion
-from .nonrestless import _ratio
 from .graph import SortedRepresentation, TemporalGraph, build_sorted_representation
 
 
@@ -90,15 +95,21 @@ def single_source_edge_betweenness(
     source: int,
     criterion: str | Criterion,
     beta: int | None,
-    exact: bool = True,
     engine: str = "auto",
-):
-    """Edge betweenness and counts for one source, engine auto-selected."""
+) -> tuple[list[int], nonrestless.BackwardState]:
+    """Edge betweenness and counts for one source, engine auto-selected.
+
+    Returns (edge_bc, back): the score of the edge at arrival position k
+    is edge_bc[k] / back.denom, with both ints.  A bad source, beta,
+    criterion or engine raises ConfigError.
+    """
     crit = _resolve_criterion(criterion)
+    beta = check_beta(beta)
+    _check_sources(rep.graph, [source])
     which = _pick_engine(crit, beta, engine)
     if which == "nonrestless":
-        return nonrestless.single_source_edge_betweenness(rep, source, crit, exact)
-    return restless.single_source_edge_betweenness(rep, source, crit, beta, exact)
+        return nonrestless.single_source_edge_betweenness(rep, source, crit)
+    return restless.single_source_edge_betweenness(rep, source, crit, beta)
 
 
 def revisit_continuations(rep: SortedRepresentation, beta: int | None) -> list[int]:
@@ -155,60 +166,58 @@ def revisit_continuations(rep: SortedRepresentation, beta: int | None) -> list[i
 
 def _source_contribution(
     rep: SortedRepresentation,
-    source: int,
-    crit: Criterion,
+    crit: str | Criterion,
     beta: int | None,
-    exact: bool,
     engine: str,
-    revisit_table: list[int] | None = None,
-) -> list:
-    """This source's additive share of every node's betweenness."""
-    edge_bc, back = single_source_edge_betweenness(rep, source, crit, beta, exact, engine)
-    n = rep.graph.n
-    zero = Fraction(0) if exact else 0.0
-    contrib = [zero] * n
+    revisit_table: list[int] | None,
+    divide,
+    source: int,
+) -> list[tuple[int, object]]:
+    """This source's share of the betweenness of each node it touches,
+    as (node, divide(numerator, back.denom)) pairs."""
+    edge_bc, back = single_source_edge_betweenness(rep, source, crit, beta, engine)
     heads = rep.heads
+    denom = back.denom
+    num: dict[int, int] = {}
     for k, val in enumerate(edge_bc):
         if val:
-            contrib[heads[k]] += val
-    for u in range(n):
-        if u != source and back.target_count[u] > 0:
-            contrib[u] -= 1
+            u = heads[k]
+            num[u] = num.get(u, 0) + val
+    target_count = back.target_count
+    for u, c in enumerate(target_count):
+        if c:
+            num[u] = num.get(u, 0) - denom
     if revisit_table is not None:
-        extra: dict[int, int] = {}
+        etc = back.edge_target_count
         for k, cont in enumerate(revisit_table):
-            if cont and back.edge_target_count[k]:
-                u = heads[k]
-                extra[u] = extra.get(u, 0) + back.edge_target_count[k] * cont
-        for u, mass in extra.items():
-            if u != source:
-                contrib[u] -= _ratio(mass, back.target_count[u], exact)
-    contrib[source] = zero
-    return contrib
+            u = heads[k]
+            if cont and etc[k] and u != source:
+                num[u] -= etc[k] * cont * (denom // target_count[u])
+    return [(u, divide(x, denom)) for u, x in num.items() if x and u != source]
 
 
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(graph: TemporalGraph, crit_name: str, beta, exact: bool, engine: str) -> None:
-    rep = build_sorted_representation(graph)
-    crit = get_criterion(crit_name)
-    _WORKER_STATE["rep"] = rep
-    _WORKER_STATE["crit"] = crit
-    _WORKER_STATE["beta"] = beta
-    _WORKER_STATE["exact"] = exact
-    _WORKER_STATE["engine"] = engine
-    _WORKER_STATE["revisit"] = (
-        revisit_continuations(rep, beta) if crit.name == "la" else None
-    )
+def _worker_init(*config) -> None:
+    _WORKER_STATE["run"] = functools.partial(_source_contribution, *config)
 
 
-def _worker_run(source: int):
-    st = _WORKER_STATE
-    return source, _source_contribution(
-        st["rep"], source, st["crit"], st["beta"], st["exact"], st["engine"],
-        st["revisit"],
-    )
+def _worker_run(source: int) -> list[tuple[int, object]]:
+    return _WORKER_STATE["run"](source)
+
+
+def _source_shares(config: tuple, sources: list[int], workers: int):
+    """Each source's (node, share) pairs, in the order of ``sources``."""
+    if workers == 1 or len(sources) <= 1:
+        yield from map(functools.partial(_source_contribution, *config), sources)
+        return
+    # criteria hold lambdas, which cannot be pickled: workers get the name
+    rep, crit, *rest = config
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers, initializer=_worker_init, initargs=(rep, crit.name, *rest)
+    ) as pool:
+        yield from pool.map(_worker_run, sources, chunksize=8)
 
 
 def node_betweenness(
@@ -224,10 +233,12 @@ def node_betweenness(
 
     ``sources`` defaults to all nodes; passing a subset computes the
     partial sums over just those sources (the result is additive over
-    disjoint source sets).  ``mode`` is "exact" (rationals) or "fast"
-    (float accumulation; raises NumericOverflowError if walk counts
-    exceed float range).  Every argument is checked here, and a bad one
-    raises ConfigError; ``beta`` also accepts "inf" for unrestricted.
+    disjoint source sets).  ``mode`` picks the output type only: the
+    computation is exact either way, and each node's per-source score
+    becomes a Fraction ("exact") or the nearest float ("fast") before
+    the scores are summed over sources.  Every argument is checked
+    here, and a bad one raises ConfigError; ``beta`` also accepts "inf"
+    for unrestricted.
     """
     if mode not in ("exact", "fast"):
         raise ConfigError(f"unknown mode {mode!r}; expected exact or fast")
@@ -237,29 +248,15 @@ def node_betweenness(
     beta = check_beta(beta)
     _pick_engine(crit, beta, engine)
     src_list = _check_sources(graph, sources)
-    exact = mode == "exact"
 
-    per_source: dict[int, list] = {}
-    if workers == 1 or len(src_list) <= 1:
-        rep = build_sorted_representation(graph)
-        revisit = revisit_continuations(rep, beta) if crit.name == "la" else None
-        for s in src_list:
-            per_source[s] = _source_contribution(rep, s, crit, beta, exact, engine, revisit)
-    else:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(graph, crit.name, beta, exact, engine),
-        ) as pool:
-            for s, contrib in pool.map(_worker_run, src_list, chunksize=8):
-                per_source[s] = contrib
-
-    zero = Fraction(0) if exact else 0.0
-    values = [zero] * graph.n
-    for s in sorted(per_source):
-        contrib = per_source[s]
-        for u in range(graph.n):
-            values[u] += contrib[u]
+    rep = build_sorted_representation(graph)
+    revisit = revisit_continuations(rep, beta) if crit.name == "la" else None
+    divide = Fraction if mode == "exact" else operator.truediv
+    values = [divide(0, 1)] * graph.n
+    config = (rep, crit, beta, engine, revisit, divide)
+    for pairs in _source_shares(config, sorted(src_list), workers):
+        for u, share in pairs:
+            values[u] += share
     return NodeBetweenness(
         list(graph.labels), values, crit.name, beta, len(src_list), mode
     )

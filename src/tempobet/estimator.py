@@ -51,8 +51,10 @@ class TemporalBetweenness(_ParamsMixin):
     """Compute per-node temporal betweenness as a fit-style estimator.
 
     Parameters mirror the driver: optimality criterion token, waiting
-    bound (None or "inf" for unrestricted), exact or fast arithmetic,
-    worker count, and whether edge-list input should be symmetrised.
+    bound (None or "inf" for unrestricted), output type (``mode``:
+    "exact" gives Fraction scores, "fast" floats; the computation is
+    exact either way), worker count, and whether edge-list input should
+    be symmetrised.
 
     After ``fit(X)`` the estimator exposes ``scores_`` (label -> score),
     ``result_`` (the full NodeBetweenness), and ``n_nodes_``/``n_edges_``.

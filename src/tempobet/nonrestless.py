@@ -9,39 +9,27 @@ forward   -- for every edge e, the minimum hop count edge_cost[e] over
              such walks.  Works because an edge appended to a walk always
              arrives strictly later than the walk it extends, so the
              by-arrival order is a topological order of walk extension.
-backward  -- edge betweenness via the successor recursion: an edge's
-             score is its walk count times the sum of score/count over
-             its successors, plus a terminal share when the edge itself
-             ends a target-optimal walk.
+backward  -- edge betweenness via the successor recursion (Brandes-style
+             dependency accumulation): an edge's per-walk dependency is
+             the sum of its successors' plus a terminal share when the
+             edge itself ends a target-optimal walk; its score is its
+             walk count times that dependency.
 intermediate (shared with the restless engine) -- per-node optimal
              target values and the counts feeding the terminal shares.
 
-Costs here are plain ints (hop counts); unreachable is None.  Walk
-counts are exact ints; betweenness is Fraction in exact mode, float in
-fast mode.
+Costs here are plain ints (hop counts); unreachable is None.  All
+arithmetic is on exact ints: with L = ``back.denom``, the lcm of the
+target counts of the nodes the source reaches, every per-walk
+dependency times L is an int, and the engines return edge scores as
+numerators over L.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .costs import Criterion
 from .graph import SortedRepresentation
-
-
-class NumericOverflowError(OverflowError):
-    """Fast mode exceeded float range; exact mode would succeed."""
-
-
-def _ratio(num: int, den: int, exact: bool):
-    if exact:
-        return Fraction(num, den)
-    try:
-        return float(num) / float(den)
-    except OverflowError:
-        raise NumericOverflowError(
-            "walk counts exceed float range; use exact mode"
-        ) from None
 
 
 @dataclass
@@ -65,12 +53,17 @@ class ForwardState:
 
 @dataclass
 class BackwardState:
-    """Target-side counts and the final per-edge betweenness."""
+    """Target-side counts and the final per-edge betweenness.
+
+    ``edge_bc[k]`` is the score of the edge at arrival position k times
+    ``denom`` (an int), so the score itself is edge_bc[k] / denom.
+    """
 
     best_target: list[object]
     target_count: list[int]
     edge_target_count: list[int]
-    edge_bc: list[object]
+    edge_bc: list[int]
+    denom: int = 1
 
 
 def forward_phase(rep: SortedRepresentation, source: int) -> ForwardState:
@@ -183,14 +176,25 @@ def intermediate_phase(
     return BackwardState(best_target, target_count, edge_target_count, [])
 
 
+def terminal_shares(back: BackwardState, source: int) -> list[int]:
+    """Set ``back.denom`` to L, the lcm of the target counts of every
+    node but ``source``, and return L // target_count[v] per node (0 for
+    the source and unreached nodes): the dependency, times L, of an edge
+    ending a target-optimal walk to v."""
+    counts = back.target_count
+    denom = math.lcm(*{c for v, c in enumerate(counts) if c and v != source})
+    back.denom = denom
+    return [denom // c if c and v != source else 0 for v, c in enumerate(counts)]
+
+
 def backward_phase(
     rep: SortedRepresentation,
     source: int,
     fwd: ForwardState,
     back: BackwardState,
-    exact: bool = True,
-) -> list:
-    """Per-edge betweenness for one source, by the successor recursion.
+) -> list[int]:
+    """Per-edge betweenness numerators for one source, by the successor
+    recursion over per-walk dependencies times ``back.denom``.
 
     Scans edges in reverse arrival order keeping, per node, a sliding
     window sum over the node's by-departure list: the successors of the
@@ -203,43 +207,41 @@ def backward_phase(
     """
     n = rep.graph.n
     m = rep.m
-    zero = Fraction(0) if exact else 0.0
-    edge_bc: list = [zero] * m
-    delta: list = [zero] * n
+    share = terminal_shares(back, source)
+    dep = [0] * m  # per-walk dependency of each edge, times back.denom
+    edge_bc = [0] * m
+    delta = [0] * n
     win_lo = [len(lst) for lst in rep.e_dep_node]
     run_cost: list[int | None] = [None] * n
 
     heads = rep.heads
     e_dep_node = rep.e_dep_node
     edge_cost, edge_count, succ_start = fwd.edge_cost, fwd.edge_count, fwd.succ_start
-    edge_target_count, target_count = back.edge_target_count, back.target_count
+    edge_target_count = back.edge_target_count
 
     for k in range(m - 1, -1, -1):
         cnt = edge_count[k]
         if not cnt:
             continue
         v = heads[k]
-        score = zero
+        nk = share[v] if edge_target_count[k] else 0
         ls = succ_start[k]
         if ls >= 0:
             ck1 = edge_cost[k] + 1
             if run_cost[v] != ck1:
                 run_cost[v] = ck1
-                delta[v] = zero
+                delta[v] = 0
             lst = e_dep_node[v]
             d = delta[v]
             for p in range(ls, win_lo[v]):
                 f = lst[p]
                 if edge_cost[f] == ck1:
-                    d += edge_bc[f] / edge_count[f]
+                    d += dep[f]
             delta[v] = d
             win_lo[v] = ls
-            if d:
-                score = cnt * d
-        etc = edge_target_count[k]
-        if etc and v != source:
-            score = score + _ratio(etc, target_count[v], exact)
-        edge_bc[k] = score
+            nk += d
+        dep[k] = nk
+        edge_bc[k] = cnt * nk
 
     back.edge_bc = edge_bc
     return edge_bc
@@ -249,14 +251,14 @@ def single_source_edge_betweenness(
     rep: SortedRepresentation,
     source: int,
     criterion: Criterion,
-    exact: bool = True,
-) -> tuple[list, BackwardState]:
-    """All three phases for one source; returns (edge scores, counts)."""
+) -> tuple[list[int], BackwardState]:
+    """All three phases for one source; returns (edge score numerators
+    over ``back.denom``, counts)."""
     if criterion.name not in ("sh", "sfo"):
         raise ValueError(
             f"non-restless engine supports sh and sfo, not {criterion.name!r}"
         )
     fwd = forward_phase(rep, source)
     back = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, criterion)
-    edge_bc = backward_phase(rep, source, fwd, back, exact)
+    edge_bc = backward_phase(rep, source, fwd, back)
     return edge_bc, back

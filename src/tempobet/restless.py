@@ -22,20 +22,20 @@ non-decreasing, which keeps every edge's coverage a single interval.
 
 A position is finalised (its optimal cost and walk count frozen) once
 no future edge can reach it, consuming its quintuple's predecessors in
-order.  The backward phase is the same successor recursion as the
-non-restless engine, except an edge's successor window is its recorded
-coverage interval and the per-node running sum follows those windows
-right to left, dropping positions that fall off the right end.
+order.  The backward phase is the same successor recursion over int
+dependency numerators as the non-restless engine, except an edge's
+successor window is its recorded coverage interval and the per-node
+running sum follows those windows right to left, dropping positions
+that fall off the right end.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .costs import Criterion
 from .graph import SortedRepresentation
-from .nonrestless import BackwardState, _ratio, intermediate_phase
+from .nonrestless import BackwardState, intermediate_phase, terminal_shares
 
 
 @dataclass
@@ -249,9 +249,9 @@ def restless_backward(
     criterion: Criterion,
     fwd: RestlessScan,
     back: BackwardState,
-    exact: bool = True,
-) -> list:
-    """Per-edge betweenness from the recorded successor windows.
+) -> list[int]:
+    """Per-edge betweenness numerators over ``back.denom`` from the
+    recorded successor windows.
 
     Window right ends never grow as the scan moves to earlier arrivals,
     so the per-node running sum mostly slides left; it is rebuilt when
@@ -267,12 +267,13 @@ def restless_backward(
 
     edge_cost, edge_count = fwd.edge_cost, fwd.edge_count
     succ_lo, succ_hi = fwd.succ_lo, fwd.succ_hi
-    edge_target_count, target_count = back.edge_target_count, back.target_count
+    edge_target_count = back.edge_target_count
     window_ops = 0
 
-    zero = Fraction(0) if exact else 0.0
-    edge_bc: list = [zero] * m
-    delta: list = [zero] * n
+    share = terminal_shares(back, source)
+    dep = [0] * m  # per-walk dependency of each edge, times back.denom
+    edge_bc = [0] * m
+    delta = [0] * n
     cur_lo = [0] * n
     cur_hi = [-1] * n
     cur_class: list = [None] * n
@@ -283,18 +284,18 @@ def restless_backward(
         if not cnt:
             continue
         v = heads[k]
-        score = zero
+        nk = share[v] if edge_target_count[k] else 0
         lo, hi = succ_lo[k], succ_hi[k]
         if lo <= hi:
             lst = e_dep_node[v]
             cls = edge_cost[k]
             d = delta[v]
             if not has_class[v] or cur_class[v] != cls or hi < cur_lo[v]:
-                d = zero
+                d = 0
                 for pos in range(lo, hi + 1):
                     f = lst[pos]
                     if edge_count[f] and edge_cost[f] == combine(cls, gammas[f]):
-                        d += edge_bc[f] / edge_count[f]
+                        d += dep[f]
                 window_ops += hi - lo + 1
                 cur_lo[v], cur_hi[v] = lo, hi
                 cur_class[v] = cls
@@ -304,11 +305,11 @@ def restless_backward(
                 for pos in range(old_hi, hi, -1):
                     f = lst[pos]
                     if edge_count[f] and edge_cost[f] == combine(cls, gammas[f]):
-                        d -= edge_bc[f] / edge_count[f]
+                        d -= dep[f]
                 for pos in range(old_lo - 1, lo - 1, -1):
                     f = lst[pos]
                     if edge_count[f] and edge_cost[f] == combine(cls, gammas[f]):
-                        d += edge_bc[f] / edge_count[f]
+                        d += dep[f]
                 if old_hi > hi:
                     window_ops += old_hi - hi
                     cur_hi[v] = hi
@@ -316,12 +317,9 @@ def restless_backward(
                     window_ops += old_lo - lo
                     cur_lo[v] = lo
             delta[v] = d
-            if d:
-                score = cnt * d
-        etc = edge_target_count[k]
-        if etc and v != source:
-            score = score + _ratio(etc, target_count[v], exact)
-        edge_bc[k] = score
+            nk += d
+        dep[k] = nk
+        edge_bc[k] = cnt * nk
 
     fwd.stats["window_ops"] += window_ops
     back.edge_bc = edge_bc
@@ -333,11 +331,11 @@ def single_source_edge_betweenness(
     source: int,
     criterion: Criterion,
     beta: int | None,
-    exact: bool = True,
     debug_invariants: bool = False,
-) -> tuple[list, BackwardState]:
-    """All three phases for one source under any criterion and bound."""
+) -> tuple[list[int], BackwardState]:
+    """All three phases for one source under any criterion and bound;
+    returns (edge score numerators over ``back.denom``, counts)."""
     fwd = restless_forward(rep, source, criterion, beta, debug_invariants)
     back = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, criterion)
-    edge_bc = restless_backward(rep, source, criterion, fwd, back, exact)
+    edge_bc = restless_backward(rep, source, criterion, fwd, back)
     return edge_bc, back

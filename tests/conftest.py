@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -33,6 +34,7 @@ def make_random_graph(rng: random.Random, n_max: int = 7, m_max: int = 18,
     return TemporalGraph(n, edges)
 
 
-def edge_bc_by_original(rep, edge_bc) -> dict[int, object]:
-    """Engine output (by arrival position) re-keyed by original edge index."""
-    return {rep.e_arr[k]: edge_bc[k] for k in range(rep.m)}
+def edge_bc_by_original(rep, edge_bc, denom) -> dict[int, Fraction]:
+    """Engine output (int numerators over ``denom``, by arrival position)
+    as Fraction scores keyed by original edge index."""
+    return {rep.e_arr[k]: Fraction(edge_bc[k], denom) for k in range(rep.m)}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -170,21 +171,30 @@ def test_compare_topk_k_too_large_exits_6(capsys, tmp_path):
     assert code == 6
 
 
-def test_fast_mode_overflow_exits_4(capsys, tmp_path):
+def test_fast_mode_equals_float_of_exact_beyond_float_range(capsys, tmp_path):
     # a 1200-stage chain with 2 parallel edges per stage: walk counts
-    # reach 2^1200, beyond float range, so fast mode must bail out
+    # reach 2^1200, beyond float range, yet fast mode only rounds the
+    # exact per-source scores, so it must print the float of each
     lines = []
     for i in range(1200):
         lines.append(f"u{i} u{i+1} {i + 1}")
         lines.append(f"u{i} u{i+1} {i + 1}")
     p = tmp_path / "chain.edges"
     p.write_text("\n".join(lines) + "\n")
-    code, _, err = run(capsys, "compute", "--input", str(p), "--mode", "fast",
-                       "--sources", "u0")
-    assert code == 4 and "exact" in err
-    code, out, _ = run(capsys, "compute", "--input", str(p), "--mode", "exact",
-                       "--sources", "u0")
+    code, fast_out, _ = run(capsys, "compute", "--input", str(p), "--mode", "fast",
+                            "--sources", "u0")
     assert code == 0
+    code, exact_out, _ = run(capsys, "compute", "--input", str(p), "--mode", "exact",
+                             "--sources", "u0")
+    assert code == 0
+
+    def rows(text):
+        return dict(line.rsplit(",", 1) for line in text.splitlines()[1:])
+
+    fast, exact = rows(fast_out), rows(exact_out)
+    assert len(exact) == 1201 and fast.keys() == exact.keys()
+    for label, value in exact.items():
+        assert fast[label] == f"{float(Fraction(value)):.12f}", label
 
 
 def test_bench_single_rep(capsys, toy_file):

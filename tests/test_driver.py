@@ -6,8 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from tempobet.costs import ConfigError, get_criterion
-from tempobet.driver import node_betweenness
-from tempobet.graph import TemporalGraph
+from tempobet.driver import node_betweenness, single_source_edge_betweenness
+from tempobet.graph import TemporalGraph, build_sorted_representation
 from tempobet.oracle import oracle_betweenness
 
 from conftest import make_random_graph
@@ -109,3 +109,14 @@ def test_invalid_configuration():
 def test_bad_input_raises_config_error(toy, kwargs):
     with pytest.raises(ConfigError):
         node_betweenness(toy, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "source, beta",
+    [(99, None), (-1, None), (0, -1), (0, "3")],
+    ids=["source-range", "source-negative", "beta-negative", "beta-str"],
+)
+def test_single_source_bad_input_raises_config_error(toy, source, beta):
+    rep = build_sorted_representation(toy)
+    with pytest.raises(ConfigError):
+        single_source_edge_betweenness(rep, source, "sh", beta)

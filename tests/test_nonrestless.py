@@ -69,8 +69,8 @@ def test_intermediate_unreachable_sentinels(toy):
 
 def test_backward_toy_edge_scores(toy):
     rep = build_sorted_representation(toy)
-    bc, _ = single_source_edge_betweenness(rep, 0, get_criterion("sh"))
-    assert edge_bc_by_original(rep, bc) == {
+    bc, back = single_source_edge_betweenness(rep, 0, get_criterion("sh"))
+    assert edge_bc_by_original(rep, bc, back.denom) == {
         0: F(3, 2),  # a->b: terminal to b, half of one a->d walk
         1: F(0),     # b->c is on no optimal walk from a
         2: F(3, 2),  # a->c: terminal to c, half of one a->d walk
@@ -87,8 +87,8 @@ def test_backward_source_without_outgoing_edges(toy):
 
 def test_edge_off_optimal_walks_scores_zero(toy):
     rep = build_sorted_representation(toy)
-    bc, _ = single_source_edge_betweenness(rep, 0, get_criterion("sh"))
-    assert edge_bc_by_original(rep, bc)[1] == 0  # b->c from source a
+    bc, back = single_source_edge_betweenness(rep, 0, get_criterion("sh"))
+    assert edge_bc_by_original(rep, bc, back.denom)[1] == 0  # b->c from source a
 
 
 def test_forward_state_matches_prefix_graphs():
@@ -131,8 +131,8 @@ def test_engine_equals_oracle_on_random_graphs(crit_name):
         rep = build_sorted_representation(g)
         orc = oracle_betweenness(g, crit, None)
         for s in range(g.n):
-            bc, _ = single_source_edge_betweenness(rep, s, crit)
-            got = edge_bc_by_original(rep, bc)
+            bc, back = single_source_edge_betweenness(rep, s, crit)
+            got = edge_bc_by_original(rep, bc, back.denom)
             for e in range(g.m):
                 assert got[e] == orc.edge_bc.get((s, e), F(0))
 

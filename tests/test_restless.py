@@ -138,8 +138,8 @@ def test_staged_consumption_full_run_matches_oracle():
     assert by_count[3] == 1 and by_cost[3] == 2
     assert by_count[4] == 0 and by_cost[4] is None
     orc = oracle_betweenness(g, crit, 1)
-    bc, _ = single_source_edge_betweenness(rep, 0, crit, 1)
-    got = edge_bc_by_original(rep, bc)
+    bc, back = single_source_edge_betweenness(rep, 0, crit, 1)
+    got = edge_bc_by_original(rep, bc, back.denom)
     for e in range(g.m):
         assert got[e] == orc.edge_bc.get((0, e), F(0))
 
@@ -173,10 +173,10 @@ def test_engine_equals_oracle_all_criteria(crit_name):
             orc = oracle_betweenness(g, crit, beta)
             rep = build_sorted_representation(g)
             for s in range(g.n):
-                bc, _ = single_source_edge_betweenness(
+                bc, back = single_source_edge_betweenness(
                     rep, s, crit, beta, debug_invariants=True
                 )
-                got = edge_bc_by_original(rep, bc)
+                got = edge_bc_by_original(rep, bc, back.denom)
                 for e in range(g.m):
                     assert got[e] == orc.edge_bc.get((s, e), F(0))
 
