@@ -7,19 +7,21 @@ incoming edges minus that source's node-as-target share.  The share is
 criterion, where optimal walks may revisit their own target and the
 share needs exact revisit counts (see revisit_continuations).
 
-Per source, the engines return int numerators over one denominator, so
-a node's per-source score is one int sum divided once: a Fraction in
-exact mode, a float in fast mode.  Only nodes the source touches get a
-score.  The sorted representation and the revisit table are built once
-per run; sources can run in parallel workers that receive both, and
-per-source scores are added in ascending source order as they arrive,
-so results are independent of the worker count.
+Per source, the engines return int numerators over one denominator.
+Sources are cut into fixed blocks of ascending sources; per block, each
+node's numerators are summed as ints over the lcm of the block's
+denominators, so the result gets one Fraction per touched node and
+block.  The sorted representation and the revisit table are built once
+per run; blocks can run in parallel workers that receive both, and
+block sums are added in block order as they arrive, so results are
+independent of the worker count.  Fast mode is the nearest float of
+each node's exact total.
 """
 from __future__ import annotations
 
 import concurrent.futures
 import functools
-import operator
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -125,22 +127,47 @@ def revisit_continuations(rep: SortedRepresentation, beta: int | None) -> list[i
     extended, so the node aggregation must subtract the exact share; the
     counts returned here (independent of the source) provide it.
 
-    Counts are computed per head node with a right-to-left sliding
-    window over extension edges, O(M) per distinct head.
+    Counts are computed per head node u with a right-to-left sliding
+    window over extension edges.  A continuation of an in-edge of u
+    departs no earlier than that edge arrives, so it arrives strictly
+    after u's first in-edge, and it ends with an in-edge of u: only the
+    arrival positions from u's first to u's last in-edge take part, and
+    a head with one in-edge has no continuation at all.  Inside the
+    span, an edge whose head has no out-edge continuing to u yet is
+    skipped.  The cost is the sum over heads of these arrival spans: on
+    graphs whose nodes receive edges throughout the time span it is
+    still O(M) per head.
     """
-    m = rep.m
-    deps, arrs, heads = rep.deps, rep.arrs, rep.heads
+    m, n = rep.m, rep.graph.n
+    deps, arrs, tails, heads = rep.deps, rep.arrs, rep.tails, rep.heads
     e_dep_node = rep.e_dep_node
+    size = [len(lst) for lst in e_dep_node]
+    first = [m] * n
+    last = [-1] * n
+    for k, v in enumerate(heads):
+        if last[v] < 0:
+            first[v] = k
+        last[v] = k
     k_table = [0] * m
-    for u in set(heads):
-        walks_to_u = [0] * m
-        lo = [len(lst) for lst in e_dep_node]
-        hi = [len(lst) - 1 for lst in e_dep_node]
-        window_sum = [0] * rep.graph.n
+    # per-head state, reset after each head over the entries it touched
+    walks_to_u = [0] * m
+    lo = size[:]
+    hi = [s - 1 for s in size]
+    window_sum = [0] * n
+    # live[v]: some out-edge of v scanned so far continues to u
+    live = [False] * n
+    for u in range(n):
+        a, b = first[u], last[u]
+        if a >= b:
+            continue
         # reverse arrival order: every extension edge is processed first,
         # and per node both window ends only ever move left
-        for k in range(m - 1, -1, -1):
+        for k in range(b, a - 1, -1):
             v = heads[k]
+            if v != u and not live[v]:
+                # no continuation to u yet, so walks_to_u[k] stays 0;
+                # v's window ends catch up on its next live edge
+                continue
             lst = e_dep_node[v]
             arr_k = arrs[k]
             if beta is not None:
@@ -158,66 +185,94 @@ def revisit_continuations(rep: SortedRepresentation, beta: int | None) -> list[i
                 if left <= h:
                     window_sum[v] += walks_to_u[lst[left]]
             lo[v] = left
-            walks_to_u[k] = (1 if v == u else 0) + window_sum[v]
             if v == u:
                 k_table[k] = window_sum[v]
+                walks_to_u[k] = 1 + window_sum[v]
+                live[tails[k]] = True
+            elif window_sum[v]:
+                walks_to_u[k] = window_sum[v]
+                live[tails[k]] = True
+        walks_to_u[a:b + 1] = [0] * (b + 1 - a)
+        for v in set(heads[a:b + 1]):
+            lo[v] = size[v]
+            hi[v] = size[v] - 1
+            window_sum[v] = 0
+        for v in set(tails[a:b + 1]):
+            live[v] = False
     return k_table
 
 
-def _source_contribution(
+#: Sources per unit of work.  A block's shares are summed as ints over
+#: one common denominator, so the parent adds one Fraction per touched
+#: node and block; the size is fixed so that the blocks, and with them
+#: the results, do not depend on the worker count.
+BLOCK = 16
+
+
+def _block_sums(
     rep: SortedRepresentation,
     crit: str | Criterion,
     beta: int | None,
     engine: str,
-    revisit_table: list[int] | None,
-    divide,
-    source: int,
-) -> list[tuple[int, object]]:
-    """This source's share of the betweenness of each node it touches,
-    as (node, divide(numerator, back.denom)) pairs."""
-    edge_bc, back = single_source_edge_betweenness(rep, source, crit, beta, engine)
+    revisit: list[tuple[int, int]],
+    block: list[int],
+) -> tuple[int, list[tuple[int, int]]]:
+    """These sources' summed share of the betweenness of each node they
+    touch, as (D, [(node, N)]): the share is N / D, where D is the lcm
+    of the sources' denominators.  ``revisit`` holds the non-zero
+    (position, count) entries of the la revisit table."""
     heads = rep.heads
-    denom = back.denom
-    num: dict[int, int] = {}
-    for k, val in enumerate(edge_bc):
-        if val:
-            u = heads[k]
-            num[u] = num.get(u, 0) + val
-    target_count = back.target_count
-    for u, c in enumerate(target_count):
-        if c:
-            num[u] = num.get(u, 0) - denom
-    if revisit_table is not None:
+    parts = []
+    for source in block:
+        edge_bc, back = single_source_edge_betweenness(rep, source, crit, beta, engine)
+        denom = back.denom
+        num: dict[int, int] = {}
+        for k, val in enumerate(edge_bc):
+            if val:
+                u = heads[k]
+                num[u] = num.get(u, 0) + val
+        target_count = back.target_count
+        for u, c in enumerate(target_count):
+            if c:
+                num[u] = num.get(u, 0) - denom
         etc = back.edge_target_count
-        for k, cont in enumerate(revisit_table):
+        for k, cont in revisit:
             u = heads[k]
-            if cont and etc[k] and u != source:
+            if etc[k] and u != source:
                 num[u] -= etc[k] * cont * (denom // target_count[u])
-    return [(u, divide(x, denom)) for u, x in num.items() if x and u != source]
+        num.pop(source, None)
+        parts.append((denom, num))
+    lcm = math.lcm(*(denom for denom, _ in parts))
+    total: dict[int, int] = {}
+    for denom, num in parts:
+        scale = lcm // denom
+        for u, x in num.items():
+            total[u] = total.get(u, 0) + x * scale
+    return lcm, [(u, x) for u, x in total.items() if x]
 
 
 _WORKER_STATE: dict = {}
 
 
 def _worker_init(*config) -> None:
-    _WORKER_STATE["run"] = functools.partial(_source_contribution, *config)
+    _WORKER_STATE["run"] = functools.partial(_block_sums, *config)
 
 
-def _worker_run(source: int) -> list[tuple[int, object]]:
-    return _WORKER_STATE["run"](source)
+def _worker_run(block: list[int]) -> tuple[int, list[tuple[int, int]]]:
+    return _WORKER_STATE["run"](block)
 
 
-def _source_shares(config: tuple, sources: list[int], workers: int):
-    """Each source's (node, share) pairs, in the order of ``sources``."""
-    if workers == 1 or len(sources) <= 1:
-        yield from map(functools.partial(_source_contribution, *config), sources)
+def _block_results(config: tuple, blocks: list[list[int]], workers: int):
+    """Each block's _block_sums result, in the order of ``blocks``."""
+    if workers == 1 or len(blocks) <= 1:
+        yield from map(functools.partial(_block_sums, *config), blocks)
         return
     # criteria hold lambdas, which cannot be pickled: workers get the name
     rep, crit, *rest = config
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=workers, initializer=_worker_init, initargs=(rep, crit.name, *rest)
     ) as pool:
-        yield from pool.map(_worker_run, sources, chunksize=8)
+        yield from pool.map(_worker_run, blocks)
 
 
 def node_betweenness(
@@ -234,11 +289,10 @@ def node_betweenness(
     ``sources`` defaults to all nodes; passing a subset computes the
     partial sums over just those sources (the result is additive over
     disjoint source sets).  ``mode`` picks the output type only: the
-    computation is exact either way, and each node's per-source score
-    becomes a Fraction ("exact") or the nearest float ("fast") before
-    the scores are summed over sources.  Every argument is checked
-    here, and a bad one raises ConfigError; ``beta`` also accepts "inf"
-    for unrestricted.
+    computation is exact either way, and each node's score is a
+    Fraction ("exact") or the nearest float of that Fraction ("fast").
+    Every argument is checked here, and a bad one raises ConfigError;
+    ``beta`` also accepts "inf" for unrestricted.
     """
     if mode not in ("exact", "fast"):
         raise ConfigError(f"unknown mode {mode!r}; expected exact or fast")
@@ -250,13 +304,19 @@ def node_betweenness(
     src_list = _check_sources(graph, sources)
 
     rep = build_sorted_representation(graph)
-    revisit = revisit_continuations(rep, beta) if crit.name == "la" else None
-    divide = Fraction if mode == "exact" else operator.truediv
-    values = [divide(0, 1)] * graph.n
-    config = (rep, crit, beta, engine, revisit, divide)
-    for pairs in _source_shares(config, sorted(src_list), workers):
-        for u, share in pairs:
-            values[u] += share
+    revisit = []
+    if crit.name == "la":
+        table = revisit_continuations(rep, beta)
+        revisit = [(k, c) for k, c in enumerate(table) if c]
+    src_list.sort()
+    blocks = [src_list[i:i + BLOCK] for i in range(0, len(src_list), BLOCK)]
+    values = [Fraction(0)] * graph.n
+    config = (rep, crit, beta, engine, revisit)
+    for lcm, sums in _block_results(config, blocks, workers):
+        for u, x in sums:
+            values[u] += Fraction(x, lcm)
+    if mode == "fast":
+        values = [float(v) for v in values]
     return NodeBetweenness(
         list(graph.labels), values, crit.name, beta, len(src_list), mode
     )

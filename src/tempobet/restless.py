@@ -236,8 +236,9 @@ def restless_forward(
         if debug_invariants:
             scan.check_invariants()
 
+    # with no quintuple left, finalising would only move the frontier
     for v in range(n):
-        if e_dep_node[v]:
+        if intervals[v]:
             finalise_up_to(scan, v, len(e_dep_node[v]) - 1)
 
     return scan

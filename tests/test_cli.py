@@ -206,6 +206,21 @@ def test_bench_single_rep(capsys, toy_file):
     assert any(ln.startswith("per_source_mean_seconds ") for ln in lines)
 
 
+@pytest.mark.parametrize("criterion, revisit_lines", [("la", 1), ("sh", 0)])
+def test_bench_times_revisit_table_for_la(capsys, tmp_path, criterion, revisit_lines):
+    p = tmp_path / "loop.edges"
+    p.write_text(LOOP)
+    code, out, _ = run(capsys, "bench", "--input", str(p), "--reps", "2",
+                       "--criterion", criterion, "--beta", "1")
+    assert code == 0
+    lines = out.splitlines()
+    assert sum(1 for ln in lines if ln.startswith("rep ")) == 2
+    assert any(ln.startswith("per_source_mean_seconds ") for ln in lines)
+    revisit = [ln for ln in lines if ln.startswith("revisit_seconds ")]
+    assert len(revisit) == revisit_lines
+    assert all(float(ln.split()[1]) >= 0 for ln in revisit)
+
+
 def test_bench_explicit_sources(capsys, toy_file):
     code, out, _ = run(capsys, "bench", "--input", toy_file, "--reps", "2",
                        "--sources", "a,b", "--criterion", "sfo", "--beta", "1")

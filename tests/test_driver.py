@@ -6,8 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from tempobet.costs import ConfigError, get_criterion
-from tempobet.driver import node_betweenness, single_source_edge_betweenness
-from tempobet.graph import TemporalGraph, build_sorted_representation
+from tempobet.driver import BLOCK, node_betweenness, single_source_edge_betweenness
+from tempobet.graph import TemporalGraph, build_sorted_representation, random_temporal_graph
 from tempobet.oracle import oracle_betweenness
 
 from conftest import make_random_graph
@@ -57,6 +57,30 @@ def test_source_subset_additivity():
     merged = [a + b for a, b in zip(half_a.values, half_b.values)]
     assert merged == full.values
     assert half_a.source_count + half_b.source_count == g.n
+
+
+@pytest.fixture(scope="module")
+def many_blocks() -> TemporalGraph:
+    # 60 sources make four blocks; departures up to 100 give la revisits
+    g = random_temporal_graph(60, 1500, 100, 7)
+    assert g.n > 3 * BLOCK
+    return g
+
+
+@pytest.mark.parametrize("crit_name, beta", [("sh", None), ("la", 2)])
+def test_block_sums_invariant_and_additive(many_blocks, crit_name, beta):
+    g = many_blocks
+    exact = node_betweenness(g, crit_name, beta).values
+    assert sum(1 for x in exact if x.denominator > 1) > 10
+    for workers in (2, 8):
+        assert node_betweenness(g, crit_name, beta, workers=workers).values == exact
+    parts = [node_betweenness(g, crit_name, beta, sources=range(r, g.n, 3)).values
+             for r in range(3)]
+    assert [a + b + c for a, b, c in zip(*parts)] == exact
+    fast = node_betweenness(g, crit_name, beta, mode="fast").values
+    assert fast == [float(x) for x in exact]
+    for workers in (2, 8):
+        assert node_betweenness(g, crit_name, beta, mode="fast", workers=workers).values == fast
 
 
 def test_fast_mode_close_to_exact():
