@@ -39,6 +39,7 @@ from .graph import (
 )
 from .metrics import RankingError, kendall_tau, top_k_intersection, weighted_kendall_tau
 from .oracle import OracleCapError, brandes_static, oracle_betweenness
+from .restless import edge_gammas
 
 EXIT_PARSE = 2
 EXIT_CONFIG = 3
@@ -184,6 +185,8 @@ def cmd_compare(args) -> int:
 def cmd_bench(args) -> int:
     crit = get_criterion(args.criterion)
     beta = check_beta(args.beta)
+    if args.reps < 1:
+        raise ConfigError(f"--reps must be at least 1, got {args.reps}")
     graph = _read_graph(args.input, args.undirected)
     rep = build_sorted_representation(graph)
     sources = _parse_sources(args.sources, graph)
@@ -195,11 +198,13 @@ def cmd_bench(args) -> int:
         sample = sorted(rng.sample(range(graph.n), min(graph.n, 3))) if graph.n else []
     else:
         sample = sources
+    # built once per run, as node_betweenness does
+    gammas = edge_gammas(rep, crit)
     times = []
     for r in range(args.reps):
         start = time.perf_counter()
         for s in sample:
-            single_source_edge_betweenness(rep, s, crit, beta)
+            single_source_edge_betweenness(rep, s, crit, beta, gammas=gammas)
         times.append(time.perf_counter() - start)
         print(f"rep {r} seconds {times[-1]:.6f}")
     median = statistics.median(times)

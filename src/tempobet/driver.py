@@ -9,13 +9,14 @@ share needs exact revisit counts (see revisit_continuations).
 
 Per source, the engines return int numerators over one denominator.
 Sources are cut into fixed blocks of ascending sources; per block, each
-node's numerators are summed as ints over the lcm of the block's
-denominators, so the result gets one Fraction per touched node and
-block.  The sorted representation and the revisit table are built once
-per run; blocks can run in parallel workers that receive both, and
-block sums are added in block order as they arrive, so results are
-independent of the worker count.  Fast mode is the nearest float of
-each node's exact total.
+node's numerators are summed as ints over the lcm D of the block's
+denominators.  Node totals are ints over a running lcm of the blocks'
+D, rescaled only when a D does not divide it, and become one Fraction
+per node at the end.  The sorted representation, the revisit table and
+the per-edge gammas are built once per run; blocks can run in parallel
+workers that receive them, and block sums are added in block order, so
+results are independent of the worker count.  Fast mode is the nearest
+float of each node's exact total.
 """
 from __future__ import annotations
 
@@ -98,11 +99,13 @@ def single_source_edge_betweenness(
     criterion: str | Criterion,
     beta: int | None,
     engine: str = "auto",
+    gammas: list | None = None,
 ) -> tuple[list[int], nonrestless.BackwardState]:
     """Edge betweenness and counts for one source, engine auto-selected.
 
     Returns (edge_bc, back): the score of the edge at arrival position k
-    is edge_bc[k] / back.denom, with both ints.  A bad source, beta,
+    is edge_bc[k] / back.denom, with both ints.  ``gammas`` passes in a
+    run's restless.edge_gammas(rep, criterion).  A bad source, beta,
     criterion or engine raises ConfigError.
     """
     crit = _resolve_criterion(criterion)
@@ -111,7 +114,7 @@ def single_source_edge_betweenness(
     which = _pick_engine(crit, beta, engine)
     if which == "nonrestless":
         return nonrestless.single_source_edge_betweenness(rep, source, crit)
-    return restless.single_source_edge_betweenness(rep, source, crit, beta)
+    return restless.single_source_edge_betweenness(rep, source, crit, beta, gammas=gammas)
 
 
 def revisit_continuations(rep: SortedRepresentation, beta: int | None) -> list[int]:
@@ -203,9 +206,9 @@ def revisit_continuations(rep: SortedRepresentation, beta: int | None) -> list[i
 
 
 #: Sources per unit of work.  A block's shares are summed as ints over
-#: one common denominator, so the parent adds one Fraction per touched
-#: node and block; the size is fixed so that the blocks, and with them
-#: the results, do not depend on the worker count.
+#: one common denominator, so the parent adds one int per touched node
+#: and block; the size is fixed so that the blocks, and with them the
+#: results, do not depend on the worker count.
 BLOCK = 16
 
 
@@ -215,6 +218,7 @@ def _block_sums(
     beta: int | None,
     engine: str,
     revisit: list[tuple[int, int]],
+    gammas: list,
     block: list[int],
 ) -> tuple[int, list[tuple[int, int]]]:
     """These sources' summed share of the betweenness of each node they
@@ -224,31 +228,31 @@ def _block_sums(
     heads = rep.heads
     parts = []
     for source in block:
-        edge_bc, back = single_source_edge_betweenness(rep, source, crit, beta, engine)
-        denom = back.denom
-        num: dict[int, int] = {}
-        for k, val in enumerate(edge_bc):
+        edge_bc, back = single_source_edge_betweenness(rep, source, crit, beta, engine, gammas)
+        denom, start = back.denom, back.start
+        num = [0] * rep.graph.n
+        for u, val in zip(heads[start:], edge_bc[start:]):
             if val:
-                u = heads[k]
-                num[u] = num.get(u, 0) + val
+                num[u] += val
         target_count = back.target_count
         for u, c in enumerate(target_count):
             if c:
-                num[u] = num.get(u, 0) - denom
+                num[u] -= denom
         etc = back.edge_target_count
         for k, cont in revisit:
             u = heads[k]
             if etc[k] and u != source:
                 num[u] -= etc[k] * cont * (denom // target_count[u])
-        num.pop(source, None)
+        num[source] = 0
         parts.append((denom, num))
     lcm = math.lcm(*(denom for denom, _ in parts))
-    total: dict[int, int] = {}
+    total = [0] * rep.graph.n
     for denom, num in parts:
         scale = lcm // denom
-        for u, x in num.items():
-            total[u] = total.get(u, 0) + x * scale
-    return lcm, [(u, x) for u, x in total.items() if x]
+        for u, x in enumerate(num):
+            if x:
+                total[u] += x * scale
+    return lcm, [(u, x) for u, x in enumerate(total) if x]
 
 
 _WORKER_STATE: dict = {}
@@ -308,13 +312,19 @@ def node_betweenness(
     if crit.name == "la":
         table = revisit_continuations(rep, beta)
         revisit = [(k, c) for k, c in enumerate(table) if c]
+    gammas = restless.edge_gammas(rep, crit)
     src_list.sort()
     blocks = [src_list[i:i + BLOCK] for i in range(0, len(src_list), BLOCK)]
-    values = [Fraction(0)] * graph.n
-    config = (rep, crit, beta, engine, revisit)
-    for lcm, sums in _block_results(config, blocks, workers):
+    nums, lcm = [0] * graph.n, 1
+    config = (rep, crit, beta, engine, revisit, gammas)
+    for d, sums in _block_results(config, blocks, workers):
+        up = d // math.gcd(lcm, d)  # 1 when d divides lcm
+        if up > 1:
+            nums, lcm = [x * up for x in nums], lcm * up
+        scale = lcm // d
         for u, x in sums:
-            values[u] += Fraction(x, lcm)
+            nums[u] += x * scale
+    values = [Fraction(x, lcm) for x in nums]
     if mode == "fast":
         values = [float(v) for v in values]
     return NodeBetweenness(

@@ -82,7 +82,6 @@ class SortedRepresentation:
     """Doubly-sorted edge indexes of a temporal graph.
 
     e_arr       -- original edge indices sorted by non-decreasing arrival.
-    e_dep       -- by-departure order, stored as positions into e_arr.
     e_dep_node  -- per node, positions into e_arr of its outgoing edges,
                    sorted by non-decreasing departure.
     e_arr_dep   -- for the edge at e_arr position i, its index inside
@@ -94,7 +93,6 @@ class SortedRepresentation:
 
     graph: TemporalGraph
     e_arr: list[int]
-    e_dep: list[int]
     e_dep_node: list[list[int]]
     e_arr_dep: list[int]
     tails: list[int]
@@ -172,7 +170,7 @@ def to_edge_list(graph: TemporalGraph) -> str:
 
 
 def build_sorted_representation(graph: TemporalGraph) -> SortedRepresentation:
-    """Build all four sorted index lists; ties keep input order (stable)."""
+    """Build the sorted index lists; ties keep input order (stable)."""
     m = graph.m
     order_arr = sorted(range(m), key=lambda i: graph.edges[i].arr)
     pos_of = [0] * m
@@ -192,9 +190,7 @@ def build_sorted_representation(graph: TemporalGraph) -> SortedRepresentation:
     heads = [graph.edges[i].head for i in order_arr]
     deps = [graph.edges[i].dep for i in order_arr]
     arrs = [graph.edges[i].arr for i in order_arr]
-    return SortedRepresentation(
-        graph, order_arr, e_dep, e_dep_node, e_arr_dep, tails, heads, deps, arrs
-    )
+    return SortedRepresentation(graph, order_arr, e_dep_node, e_arr_dep, tails, heads, deps, arrs)
 
 
 def underlying_graph(graph: TemporalGraph) -> StaticDigraph:

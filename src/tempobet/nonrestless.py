@@ -49,6 +49,7 @@ class ForwardState:
     edge_cost: list[int | None]
     edge_count: list[int]
     succ_start: list[int]
+    start: int  # no position below it is reached
 
 
 @dataclass
@@ -64,6 +65,7 @@ class BackwardState:
     edge_target_count: list[int]
     edge_bc: list[int]
     denom: int = 1
+    start: int = 0  # no position below it is reached
 
 
 def forward_phase(rep: SortedRepresentation, source: int) -> ForwardState:
@@ -89,8 +91,12 @@ def forward_phase(rep: SortedRepresentation, source: int) -> ForwardState:
     e_dep_node = rep.e_dep_node
     e_arr_dep = rep.e_arr_dep
     tails, heads, deps, arrs = rep.tails, rep.heads, rep.deps, rep.arrs
+    # edges arriving before the source's first out-edge are unreached, and
+    # skipping their frontier moves is safe: the head-side loop below
+    # writes nothing while v has no walks
+    start = min(e_dep_node[source], default=m)
 
-    for k in range(m):
+    for k in range(start, m):
         u = tails[k]
         i = e_arr_dep[k]
         if i >= frontier[u]:
@@ -133,7 +139,7 @@ def forward_phase(rep: SortedRepresentation, source: int) -> ForwardState:
             else:
                 best_count[v] += edge_count[k]
 
-    return ForwardState(best_cost, best_count, frontier, edge_cost, edge_count, succ_start)
+    return ForwardState(best_cost, best_count, frontier, edge_cost, edge_count, succ_start, start)
 
 
 def intermediate_phase(
@@ -141,11 +147,13 @@ def intermediate_phase(
     edge_cost: list,
     edge_count: list[int],
     criterion: Criterion,
+    start: int = 0,
 ) -> BackwardState:
     """Per-node optimal target values and optimal-ending-walk counts.
 
     Generic over criteria: works for any cost domain the forward pass
-    produced, which is why the restless engine reuses it.
+    produced, which is why the restless engine reuses it.  Positions
+    below ``start`` must be unreached.
     """
     n, m = rep.graph.n, rep.m
     heads, arrs = rep.heads, rep.arrs
@@ -153,7 +161,7 @@ def intermediate_phase(
 
     best_target: list[object] = [None] * n
     edge_tc: list[object] = [None] * m
-    for k in range(m):
+    for k in range(start, m):
         if not edge_count[k]:
             continue
         val = tc(arrs[k], edge_cost[k])
@@ -165,7 +173,7 @@ def intermediate_phase(
 
     target_count = [0] * n
     edge_target_count = [0] * m
-    for k in range(m):
+    for k in range(start, m):
         if not edge_count[k]:
             continue
         v = heads[k]
@@ -173,7 +181,7 @@ def intermediate_phase(
             edge_target_count[k] = edge_count[k]
             target_count[v] += edge_count[k]
 
-    return BackwardState(best_target, target_count, edge_target_count, [])
+    return BackwardState(best_target, target_count, edge_target_count, [], start=start)
 
 
 def terminal_shares(back: BackwardState, source: int) -> list[int]:
@@ -219,7 +227,7 @@ def backward_phase(
     edge_cost, edge_count, succ_start = fwd.edge_cost, fwd.edge_count, fwd.succ_start
     edge_target_count = back.edge_target_count
 
-    for k in range(m - 1, -1, -1):
+    for k in range(m - 1, fwd.start - 1, -1):
         cnt = edge_count[k]
         if not cnt:
             continue
@@ -259,6 +267,6 @@ def single_source_edge_betweenness(
             f"non-restless engine supports sh and sfo, not {criterion.name!r}"
         )
     fwd = forward_phase(rep, source)
-    back = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, criterion)
+    back = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, criterion, fwd.start)
     edge_bc = backward_phase(rep, source, fwd, back)
     return edge_bc, back

@@ -27,6 +27,11 @@ dependency numerators as the non-restless engine, except an edge's
 successor window is its recorded coverage interval and the per-node
 running sum follows those windows right to left, dropping positions
 that fall off the right end.
+
+Every pass starts at the source's earliest-arriving out-edge, as every
+reached edge arrives no earlier.  The edges skipped would only move
+tail-side frontiers past positions that depart before every later
+arrival, which the ``ws``/frontier clamp already excludes.
 """
 from __future__ import annotations
 
@@ -55,7 +60,7 @@ class RestlessScan:
     ``intervals[v]`` and ``frontier[v]`` describe node v's by-departure
     list: positions below the frontier are finalised, positions at or
     above it are covered by the interval quintuples (or by nothing, if
-    no walk can reach them).
+    no walk can reach them).  No position below ``start`` is reached.
     """
 
     rep: SortedRepresentation
@@ -67,6 +72,7 @@ class RestlessScan:
     succ_hi: list[int]
     intervals: list[deque]
     frontier: list[int]
+    start: int = 0
     stats: dict[str, int] = field(default_factory=dict)
 
     def check_invariants(self) -> None:
@@ -81,12 +87,19 @@ class RestlessScan:
                 prev_hi = q.hi
 
 
-def new_scan(rep: SortedRepresentation, criterion: Criterion) -> RestlessScan:
+def edge_gammas(rep: SortedRepresentation, criterion: Criterion) -> list:
+    """Each edge's single-edge cost; it does not depend on the source."""
+    return [criterion.gamma(dep) for dep in rep.deps]
+
+
+def new_scan(
+    rep: SortedRepresentation, criterion: Criterion, gammas: list | None = None
+) -> RestlessScan:
     m = rep.m
     return RestlessScan(
         rep=rep,
         criterion=criterion,
-        gammas=[criterion.gamma(dep) for dep in rep.deps],
+        gammas=edge_gammas(rep, criterion) if gammas is None else gammas,
         edge_cost=[None] * m,
         edge_count=[0] * m,
         succ_lo=[0] * m,
@@ -155,10 +168,11 @@ def restless_forward(
     criterion: Criterion,
     beta: int | None,
     debug_invariants: bool = False,
+    gammas: list | None = None,
 ) -> RestlessScan:
     """Optimal-walk cost and count per edge under waiting bound ``beta``."""
     n, m = rep.graph.n, rep.m
-    scan = new_scan(rep, criterion)
+    scan = new_scan(rep, criterion, gammas)
     gammas = scan.gammas
     edge_cost, edge_count = scan.edge_cost, scan.edge_count
     succ_lo, succ_hi = scan.succ_lo, scan.succ_hi
@@ -169,12 +183,16 @@ def restless_forward(
     tails, heads, deps, arrs = rep.tails, rep.heads, rep.deps, rep.arrs
     ws_cur = [0] * n
     we_cur = [-1] * n
+    scan.start = min(e_dep_node[source], default=m)
 
-    for k in range(m):
+    # without a quintuple, finalising would only move the frontier
+    for k in range(scan.start, m):
         u = tails[k]
         i = e_arr_dep[k]
         if i >= frontier[u]:
-            finalise_up_to(scan, u, i)
+            if intervals[u]:
+                finalise_up_to(scan, u, i)
+            frontier[u] = i + 1
         if u == source:
             # merge in the single-edge walk as one more candidate
             g = gammas[k]
@@ -196,7 +214,9 @@ def restless_forward(
             ws += 1
         ws_cur[v] = ws
         if ws > frontier[v]:
-            finalise_up_to(scan, v, ws - 1)
+            if intervals[v]:
+                finalise_up_to(scan, v, ws - 1)
+            frontier[v] = ws
         if beta is None:
             we = llen - 1
         else:
@@ -236,7 +256,6 @@ def restless_forward(
         if debug_invariants:
             scan.check_invariants()
 
-    # with no quintuple left, finalising would only move the frontier
     for v in range(n):
         if intervals[v]:
             finalise_up_to(scan, v, len(e_dep_node[v]) - 1)
@@ -280,7 +299,7 @@ def restless_backward(
     cur_class: list = [None] * n
     has_class = [False] * n
 
-    for k in range(m - 1, -1, -1):
+    for k in range(m - 1, fwd.start - 1, -1):
         cnt = edge_count[k]
         if not cnt:
             continue
@@ -333,10 +352,11 @@ def single_source_edge_betweenness(
     criterion: Criterion,
     beta: int | None,
     debug_invariants: bool = False,
+    gammas: list | None = None,
 ) -> tuple[list[int], BackwardState]:
     """All three phases for one source under any criterion and bound;
     returns (edge score numerators over ``back.denom``, counts)."""
-    fwd = restless_forward(rep, source, criterion, beta, debug_invariants)
-    back = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, criterion)
+    fwd = restless_forward(rep, source, criterion, beta, debug_invariants, gammas)
+    back = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, criterion, fwd.start)
     edge_bc = restless_backward(rep, source, criterion, fwd, back)
     return edge_bc, back

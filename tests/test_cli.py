@@ -221,6 +221,15 @@ def test_bench_times_revisit_table_for_la(capsys, tmp_path, criterion, revisit_l
     assert all(float(ln.split()[1]) >= 0 for ln in revisit)
 
 
+@pytest.mark.parametrize("reps", ["0", "-1"])
+def test_bench_rejects_reps_below_one(capsys, tmp_path, reps):
+    p = tmp_path / "chain.edges"
+    p.write_text("a b 1\nb c 3\n")
+    code, out, err = run(capsys, "bench", "--input", str(p), "--reps", reps)
+    assert code == 3
+    assert out == "" and "--reps" in err
+
+
 def test_bench_explicit_sources(capsys, toy_file):
     code, out, _ = run(capsys, "bench", "--input", toy_file, "--reps", "2",
                        "--sources", "a,b", "--criterion", "sfo", "--beta", "1")

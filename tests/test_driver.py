@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from tempobet.costs import ConfigError, get_criterion
-from tempobet.driver import BLOCK, node_betweenness, single_source_edge_betweenness
+from tempobet.driver import BLOCK, _block_sums, node_betweenness, single_source_edge_betweenness
 from tempobet.graph import TemporalGraph, build_sorted_representation, random_temporal_graph
 from tempobet.oracle import oracle_betweenness
+from tempobet.restless import edge_gammas
 
 from conftest import make_random_graph
 
@@ -81,6 +83,26 @@ def test_block_sums_invariant_and_additive(many_blocks, crit_name, beta):
     assert fast == [float(x) for x in exact]
     for workers in (2, 8):
         assert node_betweenness(g, crit_name, beta, mode="fast", workers=workers).values == fast
+
+
+def test_merge_rescales_running_lcm(many_blocks):
+    """Block sums are merged as ints over one running lcm; a block whose
+    D does not divide it rescales the totals, and each node's Fraction
+    equals the sum of the per-block Fraction(N, D)."""
+    g = many_blocks
+    rep = build_sorted_representation(g)
+    crit = get_criterion("sh")
+    config = (rep, crit, None, "auto", [], edge_gammas(rep, crit))
+    want = [F(0)] * g.n
+    lcm, rescales = 1, 0
+    for i in range(0, g.n, BLOCK):
+        d, sums = _block_sums(*config, list(range(i, min(g.n, i + BLOCK))))
+        rescales += lcm > 1 and lcm % d != 0
+        lcm = math.lcm(lcm, d)
+        for u, x in sums:
+            want[u] += F(x, d)
+    assert rescales >= 1
+    assert node_betweenness(g, "sh").values == want
 
 
 def test_fast_mode_close_to_exact():

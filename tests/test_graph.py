@@ -83,7 +83,7 @@ def test_sorted_representation_singleton():
     g = TemporalGraph(2, [TemporalEdge(0, 1, 5, 2)])
     rep = build_sorted_representation(g)
     assert rep.e_arr == [0]
-    assert rep.e_dep == [0]
+    assert rep.e_dep_node == [[0], []]
     assert rep.e_dep_node[0] == [0]
     assert rep.e_arr_dep == [0]
 
@@ -99,11 +99,8 @@ def _assert_rep_invariants(g: TemporalGraph):
     rep = build_sorted_representation(g)
     m = g.m
     assert sorted(rep.e_arr) == list(range(m))
-    assert sorted(rep.e_dep) == list(range(m))
+    assert sorted(p for lst in rep.e_dep_node for p in lst) == list(range(m))
     for a, b in zip(rep.arrs, rep.arrs[1:]):
-        assert a <= b
-    dep_seq = [rep.deps[p] for p in rep.e_dep]
-    for a, b in zip(dep_seq, dep_seq[1:]):
         assert a <= b
     assert sum(len(lst) for lst in rep.e_dep_node) == m
     for v in range(g.n):

@@ -7,12 +7,14 @@ from fractions import Fraction as F
 import pytest
 
 from tempobet.costs import CRITERION_NAMES, get_criterion
+from tempobet.driver import node_betweenness, revisit_continuations
 from tempobet.graph import (
     TemporalEdge,
     TemporalGraph,
     build_sorted_representation,
     random_temporal_graph,
 )
+from tempobet.nonrestless import forward_phase as nonrestless_forward
 from tempobet.nonrestless import single_source_edge_betweenness as nonrestless_run
 from tempobet.nonrestless import intermediate_phase
 from tempobet.oracle import g_loop, g_toy, oracle_betweenness
@@ -225,3 +227,51 @@ def test_operation_counters_exact(graph, crit_name, beta, want):
         restless_backward(rep, s, crit, fwd, back)
         got = [g + fwd.stats[k] for g, k in zip(got, keys)]
     assert tuple(got) == want
+
+
+def _late_source_graph() -> TemporalGraph:
+    # node 0's only out-edge arrives at 11, after a block of edges among
+    # 1, 2 and 3; nodes 1 and 2 have out-edges departing on both sides
+    # of 11, and 0->1->2->3->1 revisits node 1 (an la revisit)
+    return TemporalGraph(
+        5,
+        [
+            TemporalEdge(1, 2, 1, 1),
+            TemporalEdge(2, 3, 2, 1),
+            TemporalEdge(3, 1, 3, 1),
+            TemporalEdge(1, 3, 5, 1),
+            TemporalEdge(2, 4, 6, 1),
+            TemporalEdge(0, 1, 10, 1),
+            TemporalEdge(1, 2, 11, 1),
+            TemporalEdge(2, 3, 12, 1),
+            TemporalEdge(1, 2, 12, 2),
+            TemporalEdge(3, 1, 13, 1),
+            TemporalEdge(2, 3, 14, 1),
+            TemporalEdge(1, 4, 15, 1),
+            TemporalEdge(3, 4, 15, 1),
+        ],
+    )
+
+
+@pytest.mark.parametrize("crit_name", CRITERION_NAMES)
+def test_scan_starts_at_first_reachable_edge(crit_name):
+    g = _late_source_graph()
+    rep = build_sorted_representation(g)
+    assert any(revisit_continuations(rep, 0))
+    crit = get_criterion(crit_name)
+    for beta in (0, 1, 3, None):
+        orc = oracle_betweenness(g, crit, beta)
+        for s in range(g.n):
+            fwd = restless_forward(rep, s, crit, beta, debug_invariants=True)
+            assert fwd.start == min(rep.e_dep_node[s], default=rep.m)
+            assert not any(fwd.edge_count[:fwd.start])
+            runs = [single_source_edge_betweenness(rep, s, crit, beta)]
+            if beta is None and crit_name in ("sh", "sfo"):
+                assert nonrestless_forward(rep, s).start == fwd.start
+                runs.append(nonrestless_run(rep, s, crit))
+            for bc, back in runs:
+                got = edge_bc_by_original(rep, bc, back.denom)
+                for e in range(g.m):
+                    assert got[e] == orc.edge_bc.get((s, e), F(0))
+        assert restless_forward(rep, 0, crit, beta).start == 5
+        assert node_betweenness(g, crit, beta).values == orc.node_bc
