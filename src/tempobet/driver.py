@@ -7,7 +7,8 @@ incoming edges minus that source's node-as-target share.  The share is
 criterion, where optimal walks may revisit their own target and the
 share needs exact revisit counts (see revisit_continuations).
 
-Per source, the engines return int numerators over one denominator.
+Per source, the engines return int numerators over one denominator,
+which their backward passes also sum per head node (``back.node_num``).
 Sources are cut into fixed blocks of ascending sources; per block, each
 node's numerators are summed as ints over the lcm D of the block's
 denominators.  Node totals are ints over a running lcm of the blocks'
@@ -79,6 +80,17 @@ def _check_sources(graph: TemporalGraph, sources: Sequence[int] | None) -> list[
     if len(set(src_list)) != len(src_list):
         raise ConfigError("sources must not repeat")
     return src_list
+
+
+def _check_graph(graph: TemporalGraph) -> None:
+    """Reject edges the parser would; a zero-travel cycle has infinitely many walks."""
+    n = graph.n
+    for i, e in enumerate(graph.edges):
+        t, h, d, tr = e.tail, e.head, e.dep, e.travel
+        if not (type(t) is type(h) is type(d) is type(tr) is int):  # bool and float fail
+            raise ConfigError(f"edge {i}: endpoints and times must be ints, got {e}")
+        if t == h or not (0 <= t < n and 0 <= h < n) or tr < 1:
+            raise ConfigError(f"edge {i}: need distinct ids below {n} and travel >= 1, got {e}")
 
 
 def _pick_engine(criterion: Criterion, beta: int | None, engine: str) -> str:
@@ -223,17 +235,14 @@ def _block_sums(
 ) -> tuple[int, list[tuple[int, int]]]:
     """These sources' summed share of the betweenness of each node they
     touch, as (D, [(node, N)]): the share is N / D, where D is the lcm
-    of the sources' denominators.  ``revisit`` holds the non-zero
-    (position, count) entries of the la revisit table."""
+    of the sources' denominators.  It starts from backward's in-edge sums
+    ``back.node_num``.  ``revisit`` holds the non-zero (position, count)
+    entries of the la revisit table."""
     heads = rep.heads
     parts = []
     for source in block:
-        edge_bc, back = single_source_edge_betweenness(rep, source, crit, beta, engine, gammas)
-        denom, start = back.denom, back.start
-        num = [0] * rep.graph.n
-        for u, val in zip(heads[start:], edge_bc[start:]):
-            if val:
-                num[u] += val
+        _, back = single_source_edge_betweenness(rep, source, crit, beta, engine, gammas)
+        denom, num = back.denom, back.node_num
         target_count = back.target_count
         for u, c in enumerate(target_count):
             if c:
@@ -306,6 +315,7 @@ def node_betweenness(
     beta = check_beta(beta)
     _pick_engine(crit, beta, engine)
     src_list = _check_sources(graph, sources)
+    _check_graph(graph)
 
     rep = build_sorted_representation(graph)
     revisit = []

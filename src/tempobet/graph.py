@@ -84,6 +84,7 @@ class SortedRepresentation:
     e_arr       -- original edge indices sorted by non-decreasing arrival.
     e_dep_node  -- per node, positions into e_arr of its outgoing edges,
                    sorted by non-decreasing departure.
+    dep_times   -- per node, the departures of e_dep_node[v], in its order.
     e_arr_dep   -- for the edge at e_arr position i, its index inside
                    e_dep_node[tail].
 
@@ -94,6 +95,7 @@ class SortedRepresentation:
     graph: TemporalGraph
     e_arr: list[int]
     e_dep_node: list[list[int]]
+    dep_times: list[list[int]]
     e_arr_dep: list[int]
     tails: list[int]
     heads: list[int]
@@ -177,20 +179,23 @@ def build_sorted_representation(graph: TemporalGraph) -> SortedRepresentation:
     for pos, orig in enumerate(order_arr):
         pos_of[orig] = pos
     order_dep = sorted(range(m), key=lambda i: graph.edges[i].dep)
-    e_dep = [pos_of[i] for i in order_dep]
 
     e_dep_node: list[list[int]] = [[] for _ in range(graph.n)]
+    dep_times: list[list[int]] = [[] for _ in range(graph.n)]
     e_arr_dep = [0] * m
-    for pos in e_dep:
-        tail = graph.edges[order_arr[pos]].tail
-        e_arr_dep[pos] = len(e_dep_node[tail])
-        e_dep_node[tail].append(pos)
+    for i in order_dep:
+        pos, edge = pos_of[i], graph.edges[i]
+        e_arr_dep[pos] = len(e_dep_node[edge.tail])
+        e_dep_node[edge.tail].append(pos)
+        dep_times[edge.tail].append(edge.dep)
 
-    tails = [graph.edges[i].tail for i in order_arr]
-    heads = [graph.edges[i].head for i in order_arr]
-    deps = [graph.edges[i].dep for i in order_arr]
-    arrs = [graph.edges[i].arr for i in order_arr]
-    return SortedRepresentation(graph, order_arr, e_dep_node, e_arr_dep, tails, heads, deps, arrs)
+    by_arr = [graph.edges[i] for i in order_arr]
+    tails = [e.tail for e in by_arr]
+    heads = [e.head for e in by_arr]
+    deps = [e.dep for e in by_arr]
+    arrs = [e.arr for e in by_arr]
+    return SortedRepresentation(graph, order_arr, e_dep_node, dep_times, e_arr_dep,
+                                tails, heads, deps, arrs)
 
 
 def underlying_graph(graph: TemporalGraph) -> StaticDigraph:

@@ -1,21 +1,21 @@
 """Single-source betweenness engine for unrestricted waiting (hop costs).
 
 Handles the fewest-edges ("sh") and earliest-arrival-then-fewest-edges
-("sfo") criteria when the waiting bound is infinite.  Three phases over
-the by-arrival edge order:
+("sfo") criteria when the waiting bound is infinite, in passes over the
+by-arrival edge order; an sh source takes only the first and the last:
 
 forward   -- for every edge e, the minimum hop count edge_cost[e] over
              walks ending with e and the exact number edge_count[e] of
              such walks.  Works because an edge appended to a walk always
              arrives strictly later than the walk it extends, so the
              by-arrival order is a topological order of walk extension.
+intermediate (sfo only; also the restless engine's) -- per-node optimal
+             target values and their counts; for sh, forward's optima.
 backward  -- edge betweenness via the successor recursion (Brandes-style
              dependency accumulation): an edge's per-walk dependency is
              the sum of its successors' plus a terminal share when the
              edge itself ends a target-optimal walk; its score is its
              walk count times that dependency.
-intermediate (shared with the restless engine) -- per-node optimal
-             target values and the counts feeding the terminal shares.
 
 Costs here are plain ints (hop counts); unreachable is None.  All
 arithmetic is on exact ints: with L = ``back.denom``, the lcm of the
@@ -26,6 +26,7 @@ numerators over L.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .costs import Criterion
@@ -45,7 +46,6 @@ class ForwardState:
 
     best_cost: list[int | None]
     best_count: list[int]
-    frontier: list[int]
     edge_cost: list[int | None]
     edge_count: list[int]
     succ_start: list[int]
@@ -54,16 +54,16 @@ class ForwardState:
 
 @dataclass
 class BackwardState:
-    """Target-side counts and the final per-edge betweenness.
+    """Target-side counts and the per-node sums of the edge scores.
 
-    ``edge_bc[k]`` is the score of the edge at arrival position k times
-    ``denom`` (an int), so the score itself is edge_bc[k] / denom.
+    ``node_num[v]`` (set by backward) sums v's in-edge scores times the
+    int ``denom``.  Lean sh runs reuse forward's optimum, no edge_target_count.
     """
 
     best_target: list[object]
     target_count: list[int]
     edge_target_count: list[int]
-    edge_bc: list[int]
+    node_num: list[int]
     denom: int = 1
     start: int = 0  # no position below it is reached
 
@@ -77,7 +77,8 @@ def forward_phase(rep: SortedRepresentation, source: int) -> ForwardState:
     extend.  Tail side: scanning e finalises every earlier-departing
     out-edge of its tail, e included.  Head side: when e ends an optimal
     walk to its head, out-edges departing before arr(e) are finalised and
-    the node optimum absorbs e's walks.
+    the node optimum absorbs e's walks.  The source's out-edges start
+    finalised as single-edge walks: no walk back through the source beats them.
     """
     n = rep.graph.n
     m = rep.m
@@ -88,11 +89,13 @@ def forward_phase(rep: SortedRepresentation, source: int) -> ForwardState:
     edge_count = [0] * m
     succ_start = [-1] * m
 
-    e_dep_node = rep.e_dep_node
-    e_arr_dep = rep.e_arr_dep
-    tails, heads, deps, arrs = rep.tails, rep.heads, rep.deps, rep.arrs
+    e_dep_node, dep_times, e_arr_dep = rep.e_dep_node, rep.dep_times, rep.e_arr_dep
+    tails, heads, arrs = rep.tails, rep.heads, rep.arrs
+    for f in e_dep_node[source]:
+        edge_cost[f] = edge_count[f] = 1
+    frontier[source] = len(e_dep_node[source])
     # edges arriving before the source's first out-edge are unreached, and
-    # skipping their frontier moves is safe: the head-side loop below
+    # skipping their frontier moves is safe: the head-side step below
     # writes nothing while v has no walks
     start = min(e_dep_node[source], default=m)
 
@@ -100,46 +103,38 @@ def forward_phase(rep: SortedRepresentation, source: int) -> ForwardState:
         u = tails[k]
         i = e_arr_dep[k]
         if i >= frontier[u]:
-            cu, su = best_cost[u], best_count[u]
-            if su:
-                lst = e_dep_node[u]
-                cu1 = cu + 1
-                for p in range(frontier[u], i + 1):
-                    f = lst[p]
-                    edge_cost[f] = cu1
-                    edge_count[f] = su
+            cnt = best_count[u]
+            if cnt:
+                ck = best_cost[u] + 1
+                for f in e_dep_node[u][frontier[u]:i + 1]:
+                    edge_cost[f] = ck
+                    edge_count[f] = cnt
             frontier[u] = i + 1
-        if u == source:
-            # The single-edge walk always beats any walk returning to the
-            # source and continuing (hop costs are strictly increasing).
-            edge_cost[k] = 1
-            edge_count[k] = 1
-        ck = edge_cost[k]
-        if not edge_count[k]:
+        else:  # finalised earlier: a source out-edge or a head-side step
+            ck, cnt = edge_cost[k], edge_count[k]
+        if not cnt:
             continue
         v = heads[k]
         cv = best_cost[v]
         if cv is None or ck <= cv:
-            arr_k = arrs[k]
-            lst = e_dep_node[v]
             a = frontier[v]
-            sv = best_count[v]
-            cv1 = None if cv is None else cv + 1
-            while a < len(lst) and deps[lst[a]] < arr_k:
+            b = bisect_left(dep_times[v], arrs[k], a)
+            if b > a:
+                sv = best_count[v]
                 if sv:
-                    f = lst[a]
-                    edge_cost[f] = cv1
-                    edge_count[f] = sv
-                a += 1
-            frontier[v] = a
-            succ_start[k] = a
+                    cv1 = cv + 1
+                    for f in e_dep_node[v][a:b]:
+                        edge_cost[f] = cv1
+                        edge_count[f] = sv
+                frontier[v] = b
+            succ_start[k] = b
             if cv is None or ck < cv:
                 best_cost[v] = ck
-                best_count[v] = edge_count[k]
+                best_count[v] = cnt
             else:
-                best_count[v] += edge_count[k]
+                best_count[v] += cnt
 
-    return ForwardState(best_cost, best_count, frontier, edge_cost, edge_count, succ_start, start)
+    return ForwardState(best_cost, best_count, edge_cost, edge_count, succ_start, start)
 
 
 def intermediate_phase(
@@ -218,6 +213,7 @@ def backward_phase(
     share = terminal_shares(back, source)
     dep = [0] * m  # per-walk dependency of each edge, times back.denom
     edge_bc = [0] * m
+    back.node_num = node_num = [0] * n
     delta = [0] * n
     win_lo = [len(lst) for lst in rep.e_dep_node]
     run_cost: list[int | None] = [None] * n
@@ -225,33 +221,35 @@ def backward_phase(
     heads = rep.heads
     e_dep_node = rep.e_dep_node
     edge_cost, edge_count, succ_start = fwd.edge_cost, fwd.edge_count, fwd.succ_start
-    edge_target_count = back.edge_target_count
+    # sh has no edge_target_count: a walk is target-optimal by its hops
+    edge_target_count, best_target = back.edge_target_count, back.best_target
 
     for k in range(m - 1, fwd.start - 1, -1):
-        cnt = edge_count[k]
-        if not cnt:
+        ls = succ_start[k]
+        if ls < 0:
+            # k ended no optimal walk to its head when scanned: no successors, nor
+            # (the head's optimum only falls) a target-optimal walk under sh or sfo
             continue
         v = heads[k]
-        nk = share[v] if edge_target_count[k] else 0
-        ls = succ_start[k]
-        if ls >= 0:
-            ck1 = edge_cost[k] + 1
-            if run_cost[v] != ck1:
-                run_cost[v] = ck1
-                delta[v] = 0
-            lst = e_dep_node[v]
-            d = delta[v]
-            for p in range(ls, win_lo[v]):
-                f = lst[p]
-                if edge_cost[f] == ck1:
-                    d += dep[f]
-            delta[v] = d
-            win_lo[v] = ls
-            nk += d
-        dep[k] = nk
-        edge_bc[k] = cnt * nk
+        ck = edge_cost[k]
+        optimal = edge_target_count[k] if edge_target_count else ck == best_target[v]
+        nk = share[v] if optimal else 0
+        ck1 = ck + 1
+        if run_cost[v] != ck1:
+            run_cost[v] = ck1
+            delta[v] = 0
+        d = delta[v]
+        for f in e_dep_node[v][ls:win_lo[v]]:
+            if edge_cost[f] == ck1:
+                d += dep[f]
+        delta[v] = d
+        win_lo[v] = ls
+        nk += d
+        if nk:
+            dep[k] = nk
+            edge_bc[k] = x = edge_count[k] * nk
+            node_num[v] += x
 
-    back.edge_bc = edge_bc
     return edge_bc
 
 
@@ -260,13 +258,15 @@ def single_source_edge_betweenness(
     source: int,
     criterion: Criterion,
 ) -> tuple[list[int], BackwardState]:
-    """All three phases for one source; returns (edge score numerators
-    over ``back.denom``, counts)."""
+    """The passes for one source; returns (edge score numerators over
+    ``back.denom``, counts)."""
     if criterion.name not in ("sh", "sfo"):
         raise ValueError(
             f"non-restless engine supports sh and sfo, not {criterion.name!r}"
         )
     fwd = forward_phase(rep, source)
-    back = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, criterion, fwd.start)
-    edge_bc = backward_phase(rep, source, fwd, back)
-    return edge_bc, back
+    if criterion.name == "sh":
+        back = BackwardState(fwd.best_cost, fwd.best_count, [], [], start=fwd.start)
+    else:
+        back = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, criterion, fwd.start)
+    return backward_phase(rep, source, fwd, back), back

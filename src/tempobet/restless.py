@@ -293,6 +293,7 @@ def restless_backward(
     share = terminal_shares(back, source)
     dep = [0] * m  # per-walk dependency of each edge, times back.denom
     edge_bc = [0] * m
+    back.node_num = node_num = [0] * n
     delta = [0] * n
     cur_lo = [0] * n
     cur_hi = [-1] * n
@@ -339,10 +340,10 @@ def restless_backward(
             delta[v] = d
             nk += d
         dep[k] = nk
-        edge_bc[k] = cnt * nk
+        edge_bc[k] = x = cnt * nk
+        node_num[v] += x
 
     fwd.stats["window_ops"] += window_ops
-    back.edge_bc = edge_bc
     return edge_bc
 
 
@@ -358,5 +359,4 @@ def single_source_edge_betweenness(
     returns (edge score numerators over ``back.denom``, counts)."""
     fwd = restless_forward(rep, source, criterion, beta, debug_invariants, gammas)
     back = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, criterion, fwd.start)
-    edge_bc = restless_backward(rep, source, criterion, fwd, back)
-    return edge_bc, back
+    return restless_backward(rep, source, criterion, fwd, back), back

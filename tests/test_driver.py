@@ -8,7 +8,12 @@ import pytest
 
 from tempobet.costs import ConfigError, get_criterion
 from tempobet.driver import BLOCK, _block_sums, node_betweenness, single_source_edge_betweenness
-from tempobet.graph import TemporalGraph, build_sorted_representation, random_temporal_graph
+from tempobet.graph import (
+    TemporalEdge,
+    TemporalGraph,
+    build_sorted_representation,
+    random_temporal_graph,
+)
 from tempobet.oracle import oracle_betweenness
 from tempobet.restless import edge_gammas
 
@@ -166,3 +171,31 @@ def test_single_source_bad_input_raises_config_error(toy, source, beta):
     rep = build_sorted_representation(toy)
     with pytest.raises(ConfigError):
         single_source_edge_betweenness(rep, source, "sh", beta)
+
+
+@pytest.mark.parametrize(
+    "edge, match",
+    [
+        (TemporalEdge(2, 1, 5, -1), "edge 1: need distinct ids below 3 and travel >= 1"),
+        (TemporalEdge(0, 1, 1, 1.0), "edge 1: endpoints and times must be ints"),
+        (TemporalEdge(0, 1, 1, True), "edge 1: endpoints and times must be ints"),
+        (TemporalEdge(0, 1, 1.5, 1), "edge 1: endpoints and times must be ints"),
+        (TemporalEdge(0, 3, 1, 1), "edge 1: need distinct ids below 3 and travel >= 1"),
+        (TemporalEdge(-1, 1, 1, 1), "edge 1: need distinct ids below 3 and travel >= 1"),
+        (TemporalEdge(2, 2, 1, 1), "edge 1: need distinct ids below 3 and travel >= 1"),
+    ],
+    ids=["travel-negative", "travel-float", "travel-bool",
+         "dep-float", "head-range", "tail-negative", "self-loop"],
+)
+def test_bad_graph_raises_config_error(edge, match):
+    g = TemporalGraph(3, [TemporalEdge(1, 2, 5, 1), edge])
+    with pytest.raises(ConfigError, match=match):
+        node_betweenness(g, "fo")
+
+
+def test_zero_travel_cycle_raises_config_error():
+    # 1 -> 2 -> 1 at time 5 repeats forever: infinitely many walks, to
+    # which the engines would give finite scores
+    g = TemporalGraph(3, [TemporalEdge(1, 2, 5, 0), TemporalEdge(2, 1, 5, 0)])
+    with pytest.raises(ConfigError, match="edge 0: need distinct ids below 3 and travel >= 1"):
+        node_betweenness(g, "fo")

@@ -106,6 +106,7 @@ def _assert_rep_invariants(g: TemporalGraph):
     for v in range(g.n):
         node_deps = [rep.deps[p] for p in rep.e_dep_node[v]]
         assert node_deps == sorted(node_deps)
+        assert rep.dep_times[v] == node_deps
         for p in rep.e_dep_node[v]:
             assert rep.tails[p] == v
     for pos in range(m):

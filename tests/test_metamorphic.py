@@ -3,22 +3,29 @@
 Each check compares two exact runs that must agree by construction, so
 no brute-force ground truth is needed: the general engine against the
 lean one where both apply, a time-shifted graph against the original,
-and fast mode against exact mode.
+fast mode against exact mode, and the engines' shortcuts (sh without
+the intermediate pass, node sums built in backward) against the long
+way round, here also on small seeded graphs.
 """
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from tempobet.costs import get_criterion
-from tempobet.driver import node_betweenness
+from tempobet.costs import CRITERION_NAMES, get_criterion
+from tempobet.driver import node_betweenness, single_source_edge_betweenness
 from tempobet.graph import (
     TemporalEdge,
     TemporalGraph,
     build_sorted_representation,
     random_temporal_graph,
 )
+from tempobet.nonrestless import forward_phase, intermediate_phase
 from tempobet.nonrestless import single_source_edge_betweenness as nonrestless_run
 from tempobet.restless import single_source_edge_betweenness as restless_run
+
+from conftest import make_random_graph
 
 SOURCES = [0, 7, 42]
 RUNS = [("sh", None), ("sfo", None), ("sfa", 10), ("fa", 4)]
@@ -27,6 +34,46 @@ RUNS = [("sh", None), ("sfo", None), ("sfa", 10), ("fa", 4)]
 @pytest.fixture(scope="module")
 def graph() -> TemporalGraph:
     return random_temporal_graph(400, 10_000, t_max=200, seed=2025)
+
+
+def _graphs_and_sources(graph):
+    """The big graph with SOURCES, then small seeded graphs with all sources."""
+    yield graph, SOURCES
+    rng = random.Random(43)
+    for _ in range(30):
+        g = make_random_graph(rng)
+        yield g, range(g.n)
+
+
+def test_sh_target_counts_equal_intermediate_phase(graph):
+    """For sh the lean engine skips the intermediate pass: its per-node
+    target values and counts are forward's optimum, and they equal what
+    the intermediate pass derives from the same forward."""
+    sh = get_criterion("sh")
+    for g, sources in _graphs_and_sources(graph):
+        rep = build_sorted_representation(g)
+        for s in sources:
+            fwd = forward_phase(rep, s)
+            want = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, sh, fwd.start)
+            _, back = nonrestless_run(rep, s, sh)
+            assert back.best_target == want.best_target
+            assert back.target_count == want.target_count
+
+
+ENGINE_RUNS = [(c, b, "restless") for c in CRITERION_NAMES for b in (3, None)]
+ENGINE_RUNS += [("sh", None, "nonrestless"), ("sfo", None, "nonrestless")]
+
+
+@pytest.mark.parametrize("crit_name, beta, engine", ENGINE_RUNS)
+def test_backward_node_sums_equal_edge_sums_by_head(graph, crit_name, beta, engine):
+    for g, sources in _graphs_and_sources(graph):
+        rep = build_sorted_representation(g)
+        for s in sources:
+            edge_bc, back = single_source_edge_betweenness(rep, s, crit_name, beta, engine)
+            want = [0] * g.n
+            for v, x in zip(rep.heads, edge_bc):
+                want[v] += x
+            assert back.node_num == want
 
 
 @pytest.mark.parametrize("crit_name", ["sh", "sfo"])

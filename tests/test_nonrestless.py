@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from tempobet.costs import get_criterion
-from tempobet.graph import TemporalGraph, build_sorted_representation
+from tempobet.driver import node_betweenness
+from tempobet.graph import TemporalEdge, TemporalGraph, build_sorted_representation
 from tempobet.nonrestless import (
     forward_phase,
     intermediate_phase,
@@ -141,3 +142,48 @@ def test_rejects_unsupported_criteria(toy):
     rep = build_sorted_representation(toy)
     with pytest.raises(ValueError):
         single_source_edge_betweenness(rep, 0, get_criterion("fa"))
+
+
+def _return_graph() -> TemporalGraph:
+    # 0->1->0 and 0->2->0 are back at the source (times 3 and 7) before
+    # its later out-edges 0->2 and 0->3 depart (5 and 9); 1->0, 1->3, 2->0
+    # and 2->3 depart exactly when an in-edge of their tail arrives (the
+    # bisect_left boundary); node 3 is reached first by 0->1->3 (sfo) and
+    # with fewest hops by 0->3 (sh)
+    return TemporalGraph(
+        4,
+        [
+            TemporalEdge(0, 1, 1, 1),
+            TemporalEdge(1, 0, 2, 1),
+            TemporalEdge(1, 3, 2, 2),
+            TemporalEdge(0, 2, 5, 1),
+            TemporalEdge(2, 0, 6, 1),
+            TemporalEdge(2, 3, 6, 2),
+            TemporalEdge(0, 3, 9, 1),
+            TemporalEdge(3, 1, 10, 1),
+        ],
+    )
+
+
+@pytest.mark.parametrize("crit_name", ["sh", "sfo"])
+def test_forward_walks_returning_to_source_and_boundary_departures(crit_name):
+    """Per edge, forward's hop count and walk count equal the walks the
+    oracle enumerates, and betweenness equals the oracle's."""
+    g = _return_graph()
+    rep = build_sorted_representation(g)
+    crit = get_criterion(crit_name)
+    orc = oracle_betweenness(g, crit, None)
+    for s in range(g.n):
+        hops: dict[int, list[int]] = {}
+        for w in enumerate_walks(g, s, None):
+            hops.setdefault(w[-1], []).append(len(w))
+        fwd = forward_phase(rep, s)
+        for k in range(rep.m):
+            walk_hops = hops.get(rep.e_arr[k], [])
+            want_cost = min(walk_hops, default=None)
+            assert fwd.edge_cost[k] == want_cost
+            assert fwd.edge_count[k] == walk_hops.count(want_cost)
+        bc, back = single_source_edge_betweenness(rep, s, crit)
+        by_edge = edge_bc_by_original(rep, bc, back.denom)
+        assert by_edge == {e: orc.edge_bc.get((s, e), F(0)) for e in range(g.m)}
+    assert node_betweenness(g, crit_name).values == orc.node_bc
