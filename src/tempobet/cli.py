@@ -39,7 +39,6 @@ from .graph import (
 )
 from .metrics import RankingError, kendall_tau, top_k_intersection, weighted_kendall_tau
 from .oracle import OracleCapError, brandes_static, oracle_betweenness
-from .restless import edge_gammas
 
 EXIT_PARSE = 2
 EXIT_CONFIG = 3
@@ -198,13 +197,11 @@ def cmd_bench(args) -> int:
         sample = sorted(rng.sample(range(graph.n), min(graph.n, 3))) if graph.n else []
     else:
         sample = sources
-    # built once per run, as node_betweenness does
-    gammas = edge_gammas(rep, crit)
     times = []
     for r in range(args.reps):
         start = time.perf_counter()
         for s in sample:
-            single_source_edge_betweenness(rep, s, crit, beta, gammas=gammas)
+            single_source_edge_betweenness(rep, s, crit, beta)
         times.append(time.perf_counter() - start)
         print(f"rep {r} seconds {times[-1]:.6f}")
     median = statistics.median(times)

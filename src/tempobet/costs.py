@@ -4,14 +4,16 @@ A criterion is three functions over cost values that are ints or
 (int, int) tuples, compared with Python's own ``<`` and ``==`` (tuples
 lexicographically):
 
-    gamma(dep)       cost of one edge, from its departure time
-    combine(a, b)    folds costs left to right along a walk
+    gamma(dep)       cost of a one-edge walk, from its departure time
+    extend(c, dep)   cost of a walk of cost c extended by one more edge
+                     that departs at dep
     tc(arr, cost)    target cost of a finished walk, from its last
-                     arrival and its folded cost
+                     arrival and its cost
 
-Every cost domain here is strictly right-isotone: c1 < c2 implies
-combine(c1, c) < combine(c2, c), which is what lets the engines count
-optimal walks edge by edge.  Minimising tc defines the optimal walks:
+Every cost domain here is strictly isotone under extension: c1 < c2
+implies extend(c1, dep) < extend(c2, dep) for every dep, which is what
+lets the engines count optimal walks edge by edge.  Minimising tc
+defines the optimal walks:
 
     sh   fewest edges
     fo   earliest arrival
@@ -23,18 +25,14 @@ optimal walks edge by edge.  Minimising tc defines the optimal walks:
 
 fo's cost domain is the constant 0: every walk to an edge is equally
 good (0 < 0 is false, 0 == 0 is true).  Unreachable values are None
-sentinels and are never combined or compared.
+sentinels and are never extended or compared.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-from .graph import TemporalEdge
-
-
-class ConfigError(ValueError):
-    """Unknown criterion name or otherwise invalid configuration."""
+from .graph import ConfigError, TemporalEdge  # ConfigError is re-exported here
 
 
 Cost = Union[int, tuple[int, int]]
@@ -42,24 +40,24 @@ Cost = Union[int, tuple[int, int]]
 
 @dataclass(frozen=True)
 class Criterion:
-    """A named criterion: edge cost, cost fold and target cost."""
+    """A named criterion: one-edge cost, extension and target cost."""
 
     name: str
     gamma: Callable[[int], Cost]
-    combine: Callable[[Cost, Cost], Cost]
+    extend: Callable[[Cost, int], Cost]
     tc: Callable[[int, Cost], Cost]
 
 
-def _add(a, b):
-    return a + b
+def _add_hop(c, dep):
+    return c + 1
 
 
-def _first(a, b):
-    return a
+def _same(c, dep):
+    return c
 
 
-def _first_add_hops(a, b):
-    return (a[0], a[1] + b[1])
+def _add_second_hop(c, dep):
+    return (c[0], c[1] + 1)
 
 
 def _folded(arr, c):
@@ -69,14 +67,14 @@ def _folded(arr, c):
 _CRITERIA: dict[str, Criterion] = {
     c.name: c
     for c in (
-        Criterion("sh", lambda dep: 1, _add, _folded),
-        Criterion("fo", lambda dep: 0, lambda a, b: 0, lambda arr, c: arr),
-        Criterion("fa", lambda dep: -dep, _first, lambda arr, c: arr + c),
-        Criterion("la", lambda dep: -dep, _first, _folded),
-        Criterion("sfo", lambda dep: 1, _add, lambda arr, c: (arr, c)),
-        Criterion("sfa", lambda dep: (-dep, 1), _first_add_hops,
+        Criterion("sh", lambda dep: 1, _add_hop, _folded),
+        Criterion("fo", lambda dep: 0, _same, lambda arr, c: arr),
+        Criterion("fa", lambda dep: -dep, _same, lambda arr, c: arr + c),
+        Criterion("la", lambda dep: -dep, _same, _folded),
+        Criterion("sfo", lambda dep: 1, _add_hop, lambda arr, c: (arr, c)),
+        Criterion("sfa", lambda dep: (-dep, 1), _add_second_hop,
                   lambda arr, c: (arr + c[0], c[1])),
-        Criterion("sla", lambda dep: (-dep, 1), _first_add_hops, _folded),
+        Criterion("sla", lambda dep: (-dep, 1), _add_second_hop, _folded),
     )
 }
 
@@ -94,12 +92,13 @@ def get_criterion(name: str) -> Criterion:
 
 
 def walk_cost(walk: Sequence[TemporalEdge], criterion: Criterion) -> Cost:
-    """Fold the per-edge costs of a non-empty walk, left to right."""
+    """Cost of a non-empty walk: its first edge's gamma, extended by
+    each later edge in turn."""
     if not walk:
         raise ValueError("walk_cost of an empty walk is undefined")
     acc = criterion.gamma(walk[0].dep)
     for e in walk[1:]:
-        acc = criterion.combine(acc, criterion.gamma(e.dep))
+        acc = criterion.extend(acc, e.dep)
     return acc
 
 

@@ -13,10 +13,10 @@ Sources are cut into fixed blocks of ascending sources; per block, each
 node's numerators are summed as ints over the lcm D of the block's
 denominators.  Node totals are ints over a running lcm of the blocks'
 D, rescaled only when a D does not divide it, and become one Fraction
-per node at the end.  The sorted representation, the revisit table and
-the per-edge gammas are built once per run; blocks can run in parallel
-workers that receive them, and block sums are added in block order, so
-results are independent of the worker count.  Fast mode is the nearest
+per node at the end.  The sorted representation and the revisit table
+are built once per run; blocks can run in parallel workers that receive
+them, and block sums are added in block order, so results are
+independent of the worker count.  Fast mode is the nearest
 float of each node's exact total.
 """
 from __future__ import annotations
@@ -82,17 +82,6 @@ def _check_sources(graph: TemporalGraph, sources: Sequence[int] | None) -> list[
     return src_list
 
 
-def _check_graph(graph: TemporalGraph) -> None:
-    """Reject edges the parser would; a zero-travel cycle has infinitely many walks."""
-    n = graph.n
-    for i, e in enumerate(graph.edges):
-        t, h, d, tr = e.tail, e.head, e.dep, e.travel
-        if not (type(t) is type(h) is type(d) is type(tr) is int):  # bool and float fail
-            raise ConfigError(f"edge {i}: endpoints and times must be ints, got {e}")
-        if t == h or not (0 <= t < n and 0 <= h < n) or tr < 1:
-            raise ConfigError(f"edge {i}: need distinct ids below {n} and travel >= 1, got {e}")
-
-
 def _pick_engine(criterion: Criterion, beta: int | None, engine: str) -> str:
     if engine == "auto":
         if beta is None and criterion.name in ("sh", "sfo"):
@@ -111,13 +100,11 @@ def single_source_edge_betweenness(
     criterion: str | Criterion,
     beta: int | None,
     engine: str = "auto",
-    gammas: list | None = None,
 ) -> tuple[list[int], nonrestless.BackwardState]:
     """Edge betweenness and counts for one source, engine auto-selected.
 
     Returns (edge_bc, back): the score of the edge at arrival position k
-    is edge_bc[k] / back.denom, with both ints.  ``gammas`` passes in a
-    run's restless.edge_gammas(rep, criterion).  A bad source, beta,
+    is edge_bc[k] / back.denom, with both ints.  A bad source, beta,
     criterion or engine raises ConfigError.
     """
     crit = _resolve_criterion(criterion)
@@ -126,7 +113,7 @@ def single_source_edge_betweenness(
     which = _pick_engine(crit, beta, engine)
     if which == "nonrestless":
         return nonrestless.single_source_edge_betweenness(rep, source, crit)
-    return restless.single_source_edge_betweenness(rep, source, crit, beta, gammas=gammas)
+    return restless.single_source_edge_betweenness(rep, source, crit, beta)
 
 
 def revisit_continuations(rep: SortedRepresentation, beta: int | None) -> list[int]:
@@ -230,7 +217,6 @@ def _block_sums(
     beta: int | None,
     engine: str,
     revisit: list[tuple[int, int]],
-    gammas: list,
     block: list[int],
 ) -> tuple[int, list[tuple[int, int]]]:
     """These sources' summed share of the betweenness of each node they
@@ -241,7 +227,7 @@ def _block_sums(
     heads = rep.heads
     parts = []
     for source in block:
-        _, back = single_source_edge_betweenness(rep, source, crit, beta, engine, gammas)
+        _, back = single_source_edge_betweenness(rep, source, crit, beta, engine)
         denom, num = back.denom, back.node_num
         target_count = back.target_count
         for u, c in enumerate(target_count):
@@ -315,18 +301,16 @@ def node_betweenness(
     beta = check_beta(beta)
     _pick_engine(crit, beta, engine)
     src_list = _check_sources(graph, sources)
-    _check_graph(graph)
 
     rep = build_sorted_representation(graph)
     revisit = []
     if crit.name == "la":
         table = revisit_continuations(rep, beta)
         revisit = [(k, c) for k, c in enumerate(table) if c]
-    gammas = restless.edge_gammas(rep, crit)
     src_list.sort()
     blocks = [src_list[i:i + BLOCK] for i in range(0, len(src_list), BLOCK)]
     nums, lcm = [0] * graph.n, 1
-    config = (rep, crit, beta, engine, revisit, gammas)
+    config = (rep, crit, beta, engine, revisit)
     for d, sums in _block_results(config, blocks, workers):
         up = d // math.gcd(lcm, d)  # 1 when d divides lcm
         if up > 1:

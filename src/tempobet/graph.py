@@ -16,6 +16,13 @@ import random
 from dataclasses import dataclass, field
 from typing import TextIO
 
+
+class ConfigError(ValueError):
+    """Invalid configuration: an unknown criterion or engine, a bad
+    argument, or a graph built in code with an edge the parser would
+    reject."""
+
+
 class ParseError(ValueError):
     """Raised for malformed edge-list input; carries the line number."""
 
@@ -172,16 +179,26 @@ def to_edge_list(graph: TemporalGraph) -> str:
 
 
 def build_sorted_representation(graph: TemporalGraph) -> SortedRepresentation:
-    """Build the sorted index lists; ties keep input order (stable)."""
-    m = graph.m
+    """Build the sorted index lists; ties keep input order (stable).
+
+    Raises ConfigError for an edge the parser would reject; a zero-travel
+    cycle has infinitely many walks.
+    """
+    n, m = graph.n, graph.m
+    for i, e in enumerate(graph.edges):
+        t, h, d, tr = e.tail, e.head, e.dep, e.travel
+        if not (type(t) is type(h) is type(d) is type(tr) is int):  # bool and float fail
+            raise ConfigError(f"edge {i}: endpoints and times must be ints, got {e}")
+        if t == h or not (0 <= t < n and 0 <= h < n) or tr < 1:
+            raise ConfigError(f"edge {i}: need distinct ids below {n} and travel >= 1, got {e}")
     order_arr = sorted(range(m), key=lambda i: graph.edges[i].arr)
     pos_of = [0] * m
     for pos, orig in enumerate(order_arr):
         pos_of[orig] = pos
     order_dep = sorted(range(m), key=lambda i: graph.edges[i].dep)
 
-    e_dep_node: list[list[int]] = [[] for _ in range(graph.n)]
-    dep_times: list[list[int]] = [[] for _ in range(graph.n)]
+    e_dep_node: list[list[int]] = [[] for _ in range(n)]
+    dep_times: list[list[int]] = [[] for _ in range(n)]
     e_arr_dep = [0] * m
     for i in order_dep:
         pos, edge = pos_of[i], graph.edges[i]

@@ -31,10 +31,13 @@ that fall off the right end.
 Every pass starts at the source's earliest-arriving out-edge, as every
 reached edge arrives no earlier.  The edges skipped would only move
 tail-side frontiers past positions that depart before every later
-arrival, which the ``ws``/frontier clamp already excludes.
+arrival, and the bisect that finds a window start skips those positions
+wherever the frontier stands.
 """
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -65,7 +68,6 @@ class RestlessScan:
 
     rep: SortedRepresentation
     criterion: Criterion
-    gammas: list
     edge_cost: list
     edge_count: list[int]
     succ_lo: list[int]
@@ -87,19 +89,11 @@ class RestlessScan:
                 prev_hi = q.hi
 
 
-def edge_gammas(rep: SortedRepresentation, criterion: Criterion) -> list:
-    """Each edge's single-edge cost; it does not depend on the source."""
-    return [criterion.gamma(dep) for dep in rep.deps]
-
-
-def new_scan(
-    rep: SortedRepresentation, criterion: Criterion, gammas: list | None = None
-) -> RestlessScan:
+def new_scan(rep: SortedRepresentation, criterion: Criterion) -> RestlessScan:
     m = rep.m
     return RestlessScan(
         rep=rep,
         criterion=criterion,
-        gammas=edge_gammas(rep, criterion) if gammas is None else gammas,
         edge_cost=[None] * m,
         edge_count=[0] * m,
         succ_lo=[0] * m,
@@ -114,10 +108,10 @@ def finalise_up_to(scan: RestlessScan, v: int, j: int) -> None:
     """Freeze cost/count of positions frontier[v]..j of v's out list.
 
     Walks front quintuples, consuming predecessors whose coverage ends
-    by j: positions up to that coverage end get cost+gamma and the
-    current eta, after which the predecessor's own walks no longer count
-    (eta shrinks).  Uncovered positions stay unreachable.  No-op when j
-    is below the frontier.
+    by j: positions up to that coverage end get the quintuple's cost
+    extended by their own edge and the current eta, after which the
+    predecessor's own walks no longer count (eta shrinks).  Uncovered
+    positions stay unreachable.  No-op when j is below the frontier.
     """
     if j < scan.frontier[v]:
         return
@@ -125,8 +119,8 @@ def finalise_up_to(scan: RestlessScan, v: int, j: int) -> None:
     ivs = scan.intervals[v]
     edge_cost, edge_count = scan.edge_cost, scan.edge_count
     succ_hi = scan.succ_hi
-    combine = scan.criterion.combine
-    gammas = scan.gammas
+    extend = scan.criterion.extend
+    deps = scan.rep.deps
     finalised = consumed = 0
     while ivs:
         q = ivs[0]
@@ -140,7 +134,7 @@ def finalise_up_to(scan: RestlessScan, v: int, j: int) -> None:
             if rp >= q.lo:
                 for pos in range(q.lo, rp + 1):
                     f = lst[pos]
-                    edge_cost[f] = combine(q.cost, gammas[f])
+                    edge_cost[f] = extend(q.cost, deps[f])
                     edge_count[f] = q.eta
                 finalised += rp + 1 - q.lo
                 q.lo = rp + 1
@@ -152,7 +146,7 @@ def finalise_up_to(scan: RestlessScan, v: int, j: int) -> None:
         else:
             for pos in range(q.lo, j + 1):
                 f = lst[pos]
-                edge_cost[f] = combine(q.cost, gammas[f])
+                edge_cost[f] = extend(q.cost, deps[f])
                 edge_count[f] = q.eta
             finalised += j + 1 - q.lo
             q.lo = j + 1
@@ -168,21 +162,19 @@ def restless_forward(
     criterion: Criterion,
     beta: int | None,
     debug_invariants: bool = False,
-    gammas: list | None = None,
 ) -> RestlessScan:
     """Optimal-walk cost and count per edge under waiting bound ``beta``."""
     n, m = rep.graph.n, rep.m
-    scan = new_scan(rep, criterion, gammas)
-    gammas = scan.gammas
+    scan = new_scan(rep, criterion)
+    gamma = criterion.gamma
     edge_cost, edge_count = scan.edge_cost, scan.edge_count
     succ_lo, succ_hi = scan.succ_lo, scan.succ_hi
     intervals, frontier = scan.intervals, scan.frontier
 
-    e_dep_node = rep.e_dep_node
+    e_dep_node, dep_times = rep.e_dep_node, rep.dep_times
     e_arr_dep = rep.e_arr_dep
     tails, heads, deps, arrs = rep.tails, rep.heads, rep.deps, rep.arrs
-    ws_cur = [0] * n
-    we_cur = [-1] * n
+    wait = math.inf if beta is None else beta
     scan.start = min(e_dep_node[source], default=m)
 
     # without a quintuple, finalising would only move the frontier
@@ -195,7 +187,7 @@ def restless_forward(
             frontier[u] = i + 1
         if u == source:
             # merge in the single-edge walk as one more candidate
-            g = gammas[k]
+            g = gamma(deps[k])
             if not edge_count[k] or g < edge_cost[k]:
                 edge_cost[k] = g
                 edge_count[k] = 1
@@ -205,38 +197,28 @@ def restless_forward(
             continue
 
         v = heads[k]
-        lst = e_dep_node[v]
-        llen = len(lst)
+        times = dep_times[v]
         arr_k = arrs[k]
 
-        ws = ws_cur[v]
-        while ws < llen and deps[lst[ws]] < arr_k:
-            ws += 1
-        ws_cur[v] = ws
+        # Every position below frontier[v] departs before arr_k: a
+        # tail-side step stops at an out-edge that departs before it
+        # arrives, and a head-side step stops at an earlier arrival.
+        ws = bisect_left(times, arr_k, frontier[v])
         if ws > frontier[v]:
             if intervals[v]:
                 finalise_up_to(scan, v, ws - 1)
             frontier[v] = ws
-        if beta is None:
-            we = llen - 1
-        else:
-            we = we_cur[v]
-            if we < ws - 1:
-                we = ws - 1
-            reach = arr_k + beta
-            while we + 1 < llen and deps[lst[we + 1]] <= reach:
-                we += 1
-            we_cur[v] = we
+        we = bisect_right(times, arr_k + wait, ws) - 1
         if ws > we:
             succ_lo[k], succ_hi[k] = ws, ws - 1
             continue
 
         # Post-trim the whole list lies inside [ws, we]; merge by cost.
-        # Fresh coverage must not reopen positions a tail-side pass of v
-        # already finalised, hence the frontier clamp.
+        # ws is now v's frontier, so fresh coverage reopens no position
+        # a tail-side step of v already finalised.
         ivs = intervals[v]
         ck = edge_cost[k]
-        new_lo = ivs[-1].hi + 1 if ivs else max(ws, frontier[v])
+        new_lo = ivs[-1].hi + 1 if ivs else ws
         while ivs and ck < ivs[-1].cost:
             new_lo = ivs[-1].lo
             ivs.pop()
@@ -280,10 +262,9 @@ def restless_backward(
     class are useless for another).
     """
     n, m = rep.graph.n, rep.m
-    combine = criterion.combine
-    heads = rep.heads
+    extend = criterion.extend
+    heads, deps = rep.heads, rep.deps
     e_dep_node = rep.e_dep_node
-    gammas = fwd.gammas
 
     edge_cost, edge_count = fwd.edge_cost, fwd.edge_count
     succ_lo, succ_hi = fwd.succ_lo, fwd.succ_hi
@@ -297,8 +278,7 @@ def restless_backward(
     delta = [0] * n
     cur_lo = [0] * n
     cur_hi = [-1] * n
-    cur_class: list = [None] * n
-    has_class = [False] * n
+    cur_class: list = [None] * n  # a reached edge's cost is never None
 
     for k in range(m - 1, fwd.start - 1, -1):
         cnt = edge_count[k]
@@ -311,25 +291,24 @@ def restless_backward(
             lst = e_dep_node[v]
             cls = edge_cost[k]
             d = delta[v]
-            if not has_class[v] or cur_class[v] != cls or hi < cur_lo[v]:
+            if cur_class[v] != cls or hi < cur_lo[v]:
                 d = 0
                 for pos in range(lo, hi + 1):
                     f = lst[pos]
-                    if edge_count[f] and edge_cost[f] == combine(cls, gammas[f]):
+                    if edge_count[f] and edge_cost[f] == extend(cls, deps[f]):
                         d += dep[f]
                 window_ops += hi - lo + 1
                 cur_lo[v], cur_hi[v] = lo, hi
                 cur_class[v] = cls
-                has_class[v] = True
             else:
                 old_hi, old_lo = cur_hi[v], cur_lo[v]
                 for pos in range(old_hi, hi, -1):
                     f = lst[pos]
-                    if edge_count[f] and edge_cost[f] == combine(cls, gammas[f]):
+                    if edge_count[f] and edge_cost[f] == extend(cls, deps[f]):
                         d -= dep[f]
                 for pos in range(old_lo - 1, lo - 1, -1):
                     f = lst[pos]
-                    if edge_count[f] and edge_cost[f] == combine(cls, gammas[f]):
+                    if edge_count[f] and edge_cost[f] == extend(cls, deps[f]):
                         d += dep[f]
                 if old_hi > hi:
                     window_ops += old_hi - hi
@@ -353,10 +332,9 @@ def single_source_edge_betweenness(
     criterion: Criterion,
     beta: int | None,
     debug_invariants: bool = False,
-    gammas: list | None = None,
 ) -> tuple[list[int], BackwardState]:
     """All three phases for one source under any criterion and bound;
     returns (edge score numerators over ``back.denom``, counts)."""
-    fwd = restless_forward(rep, source, criterion, beta, debug_invariants, gammas)
+    fwd = restless_forward(rep, source, criterion, beta, debug_invariants)
     back = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, criterion, fwd.start)
     return restless_backward(rep, source, criterion, fwd, back), back

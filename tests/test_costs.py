@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,7 @@ def test_shortest_components():
     sh = get_criterion("sh")
     e = TemporalEdge(0, 1, 3, 2)
     assert sh.gamma(e.dep) == 1
-    assert sh.combine(2, 3) == 5
+    assert sh.extend(2, 7) == 3
     assert sh.tc(e.arr, 4) == 4
 
 
@@ -78,7 +80,7 @@ edges_st = st.builds(
 )
 
 
-#: The four cost domains (gamma, combine) of the criteria table, each
+#: The four cost domains (gamma, extend) of the criteria table, each
 #: with the criteria that share it.
 DOMAINS = {
     "all": ("fo",),
@@ -109,13 +111,17 @@ def _is_cost(c) -> bool:
 
 @pytest.mark.parametrize("domain", DOMAINS)
 @settings(max_examples=200, deadline=None)
-@given(ints=st.lists(st.integers(-50, 50), min_size=3, max_size=3))
-def test_strict_right_isotonicity(domain, ints):
+@given(
+    ints=st.lists(st.integers(-50, 50), min_size=3, max_size=3),
+    dep=st.integers(1, 50),
+)
+def test_strict_right_isotonicity(domain, ints, dep):
+    """c1 < c2 implies extend(c1, dep) < extend(c2, dep)."""
     for name in DOMAINS[domain]:
         crit = get_criterion(name)
-        c1, c2, c = _cost_values(name, ints)
+        c1, c2, _ = _cost_values(name, ints)
         if c1 < c2:
-            assert crit.combine(c1, c) < crit.combine(c2, c)
+            assert crit.extend(c1, dep) < crit.extend(c2, dep)
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
@@ -123,12 +129,12 @@ def test_strict_right_isotonicity(domain, ints):
 @given(e=edges_st, ints=st.lists(st.integers(-50, 50), min_size=3, max_size=3))
 def test_order_is_total(domain, e, ints):
     """Costs are compared with native < and ==, which is a total order
-    exactly when every gamma, combine and tc output is an int or a
+    exactly when every gamma, extend and tc output is an int or a
     2-tuple of ints (compared lexicographically)."""
     for name in DOMAINS[domain]:
         crit = get_criterion(name)
-        c1, c2, _ = _cost_values(name, ints)
-        outputs = [crit.gamma(e.dep), crit.combine(c1, c2), crit.tc(e.arr, c1)]
+        c1, _, _ = _cost_values(name, ints)
+        outputs = [crit.gamma(e.dep), crit.extend(c1, e.dep), crit.tc(e.arr, c1)]
         assert all(_is_cost(c) for c in outputs), (name, outputs)
 
 
@@ -145,15 +151,49 @@ def test_target_cost_is_increasing(name, e, ints):
 @pytest.mark.parametrize("name", CRITERION_NAMES)
 @settings(max_examples=100, deadline=None)
 @given(
-    data=st.data(),
+    w=st.lists(edges_st, min_size=1, max_size=4),
+    x=st.lists(edges_st, min_size=1, max_size=4),
     e=edges_st,
 )
-def test_walk_extension_preserves_strict_order(name, data, e):
+def test_walk_extension_preserves_strict_order(name, w, x, e):
     """If one walk is strictly cheaper, it stays cheaper after appending
     the same edge to both."""
     crit = get_criterion(name)
-    ints1 = data.draw(st.lists(st.integers(-50, 50), min_size=3, max_size=3))
-    w_cost, x_cost, _ = _cost_values(name, ints1)
-    if w_cost < x_cost:
-        g = crit.gamma(e.dep)
-        assert crit.combine(w_cost, g) < crit.combine(x_cost, g)
+    if walk_cost(w, crit) < walk_cost(x, crit):
+        assert walk_cost(w + [e], crit) < walk_cost(x + [e], crit)
+
+
+def _random_walk(rng):
+    """A strict temporal walk of 1-6 edges: each departs no earlier than
+    the previous one arrives."""
+    walk, t = [], rng.randint(1, 20)
+    for _ in range(rng.randint(1, 6)):
+        e = TemporalEdge(len(walk), len(walk) + 1, t + rng.randint(0, 3), rng.randint(1, 4))
+        walk.append(e)
+        t = e.arr
+    return walk
+
+
+def test_criteria_table_matches_definitions():
+    """walk_cost and walk_target_cost equal the README definitions
+    computed directly from each walk.  The oracle folds with the same
+    table as the engines, so agreeing with it cannot catch a wrong
+    extend; this test can."""
+    rng = random.Random(8)
+    for _ in range(500):
+        walk = _random_walk(rng)
+        hops, first, arr = len(walk), walk[0].dep, walk[-1].arr
+        want = {
+            "sh": (hops, hops),
+            "fo": (0, arr),
+            "fa": (-first, arr - first),
+            "la": (-first, -first),
+            "sfo": (hops, (arr, hops)),
+            "sfa": ((-first, hops), (arr - first, hops)),
+            "sla": ((-first, hops), (-first, hops)),
+        }
+        assert set(want) == set(CRITERION_NAMES)
+        for name, (cost, target) in want.items():
+            crit = get_criterion(name)
+            assert walk_cost(walk, crit) == cost, (name, walk)
+            assert walk_target_cost(walk, crit) == target, (name, walk)

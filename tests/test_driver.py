@@ -15,7 +15,6 @@ from tempobet.graph import (
     random_temporal_graph,
 )
 from tempobet.oracle import oracle_betweenness
-from tempobet.restless import edge_gammas
 
 from conftest import make_random_graph
 
@@ -97,7 +96,7 @@ def test_merge_rescales_running_lcm(many_blocks):
     g = many_blocks
     rep = build_sorted_representation(g)
     crit = get_criterion("sh")
-    config = (rep, crit, None, "auto", [], edge_gammas(rep, crit))
+    config = (rep, crit, None, "auto", [])
     want = [F(0)] * g.n
     lcm, rescales = 1, 0
     for i in range(0, g.n, BLOCK):
@@ -199,3 +198,12 @@ def test_zero_travel_cycle_raises_config_error():
     g = TemporalGraph(3, [TemporalEdge(1, 2, 5, 0), TemporalEdge(2, 1, 5, 0)])
     with pytest.raises(ConfigError, match="edge 0: need distinct ids below 3 and travel >= 1"):
         node_betweenness(g, "fo")
+
+
+def test_single_source_path_rejects_bad_graph():
+    # the same cycle behind a 0 -> 1 edge: the per-source path used to
+    # return finite edge scores [2, 1, 0] for fo from source 0
+    g = TemporalGraph(3, [TemporalEdge(0, 1, 1, 1), TemporalEdge(1, 2, 5, 0),
+                          TemporalEdge(2, 1, 5, 0)])
+    with pytest.raises(ConfigError, match="edge 1: need distinct ids below 3 and travel >= 1"):
+        single_source_edge_betweenness(build_sorted_representation(g), 0, "fo", None)
