@@ -38,17 +38,18 @@ class ForwardState:
     """Per-node and per-edge results of the forward scan.
 
     Edge arrays are indexed by position in the by-arrival order.
-    succ_start[e] is the first position in the head's by-departure list
-    that can extend an optimal walk ending with e; -1 when e was not
-    ending an optimal walk to its head at scan time (such an edge has no
-    successors at all).
+    ``live`` lists, in scan order, a pair (e, window start) for every
+    edge e that ended an optimal walk to its head at scan time; the
+    window start is the first position in the head's by-departure list
+    that can extend such a walk.  No other edge has successors, nor (the
+    head's optimum only falls) ends a target-optimal walk under sh or sfo.
     """
 
     best_cost: list[int | None]
     best_count: list[int]
     edge_cost: list[int | None]
     edge_count: list[int]
-    succ_start: list[int]
+    live: list[tuple[int, int]]
     start: int  # no position below it is reached
 
 
@@ -87,7 +88,7 @@ def forward_phase(rep: SortedRepresentation, source: int) -> ForwardState:
     frontier = [0] * n
     edge_cost: list[int | None] = [None] * m
     edge_count = [0] * m
-    succ_start = [-1] * m
+    live: list[tuple[int, int]] = []
 
     e_dep_node, dep_times, e_arr_dep = rep.e_dep_node, rep.dep_times, rep.e_arr_dep
     tails, heads, arrs = rep.tails, rep.heads, rep.arrs
@@ -102,13 +103,17 @@ def forward_phase(rep: SortedRepresentation, source: int) -> ForwardState:
     for k in range(start, m):
         u = tails[k]
         i = e_arr_dep[k]
-        if i >= frontier[u]:
+        a = frontier[u]
+        if i >= a:
             cnt = best_count[u]
             if cnt:
                 ck = best_cost[u] + 1
-                for f in e_dep_node[u][frontier[u]:i + 1]:
-                    edge_cost[f] = ck
-                    edge_count[f] = cnt
+                if i == a:  # only k itself: no earlier out-edge is still open
+                    edge_cost[k], edge_count[k] = ck, cnt
+                else:
+                    for f in e_dep_node[u][a:i + 1]:
+                        edge_cost[f] = ck
+                        edge_count[f] = cnt
             frontier[u] = i + 1
         else:  # finalised earlier: a source out-edge or a head-side step
             ck, cnt = edge_cost[k], edge_count[k]
@@ -127,14 +132,14 @@ def forward_phase(rep: SortedRepresentation, source: int) -> ForwardState:
                         edge_cost[f] = cv1
                         edge_count[f] = sv
                 frontier[v] = b
-            succ_start[k] = b
+            live.append((k, b))
             if cv is None or ck < cv:
                 best_cost[v] = ck
                 best_count[v] = cnt
             else:
                 best_count[v] += cnt
 
-    return ForwardState(best_cost, best_count, edge_cost, edge_count, succ_start, start)
+    return ForwardState(best_cost, best_count, edge_cost, edge_count, live, start)
 
 
 def intermediate_phase(
@@ -199,14 +204,14 @@ def backward_phase(
     """Per-edge betweenness numerators for one source, by the successor
     recursion over per-walk dependencies times ``back.denom``.
 
-    Scans edges in reverse arrival order keeping, per node, a sliding
-    window sum over the node's by-departure list: the successors of the
-    edge being scanned are exactly the window positions whose optimal
-    hop count extends the edge's own (window start = succ_start, with
-    a per-position hop filter).  Among edges that can have successors,
-    hop counts never decrease as the scan moves to earlier arrivals, so
-    windows only ever slide left and each position is summed once per
-    run of equal hop counts.
+    Scans forward's live edges in reverse arrival order keeping, per
+    node, a sliding window sum over the node's by-departure list: the
+    successors of the edge being scanned are exactly the window
+    positions whose optimal hop count extends the edge's own (window
+    start from ``fwd.live``, with a per-position hop filter).  Hop
+    counts of live edges never decrease as the scan moves to earlier
+    arrivals, so windows only ever slide left and each position is
+    summed once per run of equal hop counts.  Other edges score 0.
     """
     n = rep.graph.n
     m = rep.m
@@ -220,16 +225,11 @@ def backward_phase(
 
     heads = rep.heads
     e_dep_node = rep.e_dep_node
-    edge_cost, edge_count, succ_start = fwd.edge_cost, fwd.edge_count, fwd.succ_start
+    edge_cost, edge_count = fwd.edge_cost, fwd.edge_count
     # sh has no edge_target_count: a walk is target-optimal by its hops
     edge_target_count, best_target = back.edge_target_count, back.best_target
 
-    for k in range(m - 1, fwd.start - 1, -1):
-        ls = succ_start[k]
-        if ls < 0:
-            # k ended no optimal walk to its head when scanned: no successors, nor
-            # (the head's optimum only falls) a target-optimal walk under sh or sfo
-            continue
+    for k, ls in reversed(fwd.live):
         v = heads[k]
         ck = edge_cost[k]
         optimal = edge_target_count[k] if edge_target_count else ck == best_target[v]

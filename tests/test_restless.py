@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tempobet.costs import CRITERION_NAMES, get_criterion
+from tempobet.costs import CRITERION_NAMES, get_criterion, walk_cost
 from tempobet.driver import node_betweenness, revisit_continuations
 from tempobet.graph import (
     TemporalEdge,
@@ -17,7 +17,7 @@ from tempobet.graph import (
 from tempobet.nonrestless import forward_phase as nonrestless_forward
 from tempobet.nonrestless import single_source_edge_betweenness as nonrestless_run
 from tempobet.nonrestless import intermediate_phase
-from tempobet.oracle import g_loop, g_toy, oracle_betweenness
+from tempobet.oracle import enumerate_walks, g_loop, g_toy, oracle_betweenness
 from tempobet.restless import (
     Quintuple,
     finalise_up_to,
@@ -144,6 +144,71 @@ def test_staged_consumption_full_run_matches_oracle():
     got = edge_bc_by_original(rep, bc, back.denom)
     for e in range(g.m):
         assert got[e] == orc.edge_bc.get((0, e), F(0))
+
+
+def _overtaking_graph() -> TemporalGraph:
+    # node 1's out-edge 1->2 departs first (3) but arrives last (9), so it
+    # is still open when 1->3 (arr 5) and 1->4 (arr 6) are scanned and a
+    # single tail-side step finalises it together with one of them
+    return TemporalGraph(
+        5,
+        [
+            TemporalEdge(0, 1, 1, 1),
+            TemporalEdge(0, 3, 2, 4),
+            TemporalEdge(1, 2, 3, 6),
+            TemporalEdge(1, 3, 4, 1),
+            TemporalEdge(1, 4, 5, 1),
+            TemporalEdge(3, 2, 6, 1),
+            TemporalEdge(3, 4, 7, 2),
+            TemporalEdge(2, 4, 10, 1),
+        ],
+    )
+
+
+def _overtaking_graphs() -> list[TemporalGraph]:
+    """The graph above plus 30 seeded ones, each with a node whose
+    out-edge departs before a sibling but arrives after it."""
+    rng = random.Random(47)
+    graphs = [_overtaking_graph()]
+    while len(graphs) < 31:
+        g = make_random_graph(rng, travel_max=8)
+        if any(
+            a.tail == b.tail and a.dep < b.dep and a.arr > b.arr
+            for a in g.edges
+            for b in g.edges
+        ):
+            graphs.append(g)
+    return graphs
+
+
+@pytest.mark.parametrize(
+    "engine, crit_name, beta",
+    [("nonrestless", c, None) for c in ("sh", "sfo")]
+    + [("restless", c, b) for c in ("sh", "sfo") for b in (None, 0, 1, 3)],
+)
+def test_tail_side_step_finalising_several_positions(engine, crit_name, beta):
+    """Scanning an out-edge that overtakes an earlier-departing sibling
+    finalises both in one tail-side step, off the nonrestless
+    one-position fast path: per-edge optimal costs and walk counts, and
+    node scores, equal the oracle's."""
+    crit = get_criterion(crit_name)
+    for g in _overtaking_graphs():
+        rep = build_sorted_representation(g)
+        for s in range(g.n):
+            costs: dict[int, list] = {}
+            for w in enumerate_walks(g, s, beta):
+                costs.setdefault(w[-1], []).append(walk_cost([g.edges[e] for e in w], crit))
+            best = {e: min(cs) for e, cs in costs.items()}
+            if engine == "nonrestless":
+                fwd = nonrestless_forward(rep, s)
+            else:
+                fwd = restless_forward(rep, s, crit, beta, debug_invariants=True)
+            assert _by_original(rep, fwd.edge_cost) == {e: best.get(e) for e in range(g.m)}
+            assert _by_original(rep, fwd.edge_count) == {
+                e: costs[e].count(best[e]) if e in costs else 0 for e in range(g.m)
+            }
+        orc = oracle_betweenness(g, crit, beta)
+        assert node_betweenness(g, crit, beta, engine=engine).values == orc.node_bc
 
 
 def test_unreachable_edges_score_zero(loop):
