@@ -5,15 +5,14 @@ A criterion is three functions over cost values that are ints or
 lexicographically):
 
     gamma(dep)       cost of a one-edge walk, from its departure time
-    extend(c, dep)   cost of a walk of cost c extended by one more edge
-                     that departs at dep
+    extend(c)        cost of a walk of cost c extended by one more edge;
+                     no criterion reads that edge's departure
     tc(arr, cost)    target cost of a finished walk, from its last
                      arrival and its cost
 
 Every cost domain here is strictly isotone under extension: c1 < c2
-implies extend(c1, dep) < extend(c2, dep) for every dep, which is what
-lets the engines count optimal walks edge by edge.  Minimising tc
-defines the optimal walks:
+implies extend(c1) < extend(c2), which is what lets the engines count
+optimal walks edge by edge.  Minimising tc defines the optimal walks:
 
     sh   fewest edges
     fo   earliest arrival
@@ -44,19 +43,19 @@ class Criterion:
 
     name: str
     gamma: Callable[[int], Cost]
-    extend: Callable[[Cost, int], Cost]
+    extend: Callable[[Cost], Cost]
     tc: Callable[[int, Cost], Cost]
 
 
-def _add_hop(c, dep):
+def _add_hop(c):
     return c + 1
 
 
-def _same(c, dep):
+def _same(c):
     return c
 
 
-def _add_second_hop(c, dep):
+def _add_second_hop(c):
     return (c[0], c[1] + 1)
 
 
@@ -92,13 +91,13 @@ def get_criterion(name: str) -> Criterion:
 
 
 def walk_cost(walk: Sequence[TemporalEdge], criterion: Criterion) -> Cost:
-    """Cost of a non-empty walk: its first edge's gamma, extended by
-    each later edge in turn."""
+    """Cost of a non-empty walk: its first edge's gamma, extended once
+    per later edge."""
     if not walk:
         raise ValueError("walk_cost of an empty walk is undefined")
     acc = criterion.gamma(walk[0].dep)
-    for e in walk[1:]:
-        acc = criterion.extend(acc, e.dep)
+    for _ in walk[1:]:
+        acc = criterion.extend(acc)
     return acc
 
 

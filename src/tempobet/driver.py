@@ -52,9 +52,13 @@ class NodeBetweenness:
 
 
 def _resolve_criterion(criterion: str | Criterion) -> Criterion:
-    if isinstance(criterion, Criterion):
-        return criterion
-    return get_criterion(criterion)
+    """A criterion name, or one of the table's own Criterion objects:
+    workers and engine choice go by name, so no other object is valid."""
+    if not isinstance(criterion, Criterion):
+        return get_criterion(criterion)
+    if criterion is not get_criterion(criterion.name):
+        raise ConfigError(f"criterion {criterion.name!r} is not the table's own; pass its name")
+    return criterion
 
 
 def _is_int(x) -> bool:
@@ -141,8 +145,8 @@ def revisit_continuations(rep: SortedRepresentation, beta: int | None) -> list[i
     still O(M) per head.
     """
     m, n = rep.m, rep.graph.n
-    deps, arrs, tails, heads = rep.deps, rep.arrs, rep.tails, rep.heads
-    e_dep_node = rep.e_dep_node
+    arrs, tails, heads = rep.arrs, rep.tails, rep.heads
+    e_dep_node, dep_times = rep.e_dep_node, rep.dep_times
     size = [len(lst) for lst in e_dep_node]
     first = [m] * n
     last = [-1] * n
@@ -170,19 +174,19 @@ def revisit_continuations(rep: SortedRepresentation, beta: int | None) -> list[i
                 # no continuation to u yet, so walks_to_u[k] stays 0;
                 # v's window ends catch up on its next live edge
                 continue
-            lst = e_dep_node[v]
+            lst, times = e_dep_node[v], dep_times[v]
             arr_k = arrs[k]
             if beta is not None:
                 reach = arr_k + beta
                 h = hi[v]
-                while h >= 0 and deps[lst[h]] > reach:
+                while h >= 0 and times[h] > reach:
                     if h >= lo[v]:
                         window_sum[v] -= walks_to_u[lst[h]]
                     h -= 1
                 hi[v] = h
             left = lo[v]
             h = hi[v]
-            while left > 0 and deps[lst[left - 1]] >= arr_k:
+            while left > 0 and times[left - 1] >= arr_k:
                 left -= 1
                 if left <= h:
                     window_sum[v] += walks_to_u[lst[left]]

@@ -16,12 +16,16 @@ from .graph import TemporalGraph, parse_edge_list
 
 
 def as_temporal_graph(X, undirected: bool = False) -> TemporalGraph:
-    """Coerce a TemporalGraph, edge-list text, or a path into a graph."""
+    """Coerce a TemporalGraph, edge-list text, or a path into a graph.
+
+    A str that contains a newline is edge-list text; any other str or
+    os.PathLike is opened as a path, so a missing file raises
+    FileNotFoundError."""
     if isinstance(X, TemporalGraph):
         return X
+    if isinstance(X, str) and "\n" in X:
+        return parse_edge_list(X, undirected=undirected)
     if isinstance(X, (str, os.PathLike)):
-        if isinstance(X, str) and ("\n" in X or not os.path.exists(X)):
-            return parse_edge_list(X, undirected=undirected)
         with open(X, "r", encoding="utf-8") as fh:
             return parse_edge_list(fh, undirected=undirected)
     raise ConfigError(f"cannot interpret {type(X).__name__} as a temporal graph")

@@ -91,12 +91,14 @@ class SortedRepresentation:
     e_arr       -- original edge indices sorted by non-decreasing arrival.
     e_dep_node  -- per node, positions into e_arr of its outgoing edges,
                    sorted by non-decreasing departure.
-    dep_times   -- per node, the departures of e_dep_node[v], in its order.
+    dep_times   -- per node, the departures of e_dep_node[v], in its order;
+                   the only place departures are kept.
     e_arr_dep   -- for the edge at e_arr position i, its index inside
-                   e_dep_node[tail].
+                   e_dep_node[tail], so its departure is
+                   dep_times[tails[i]][e_arr_dep[i]].
 
-    The flat arrays (tails/heads/deps/arrs, indexed by e_arr position)
-    are what the engines actually iterate over.
+    The flat arrays (tails/heads/arrs, indexed by e_arr position) are
+    what the engines actually iterate over.
     """
 
     graph: TemporalGraph
@@ -106,7 +108,6 @@ class SortedRepresentation:
     e_arr_dep: list[int]
     tails: list[int]
     heads: list[int]
-    deps: list[int]
     arrs: list[int]
 
     @property
@@ -114,21 +115,16 @@ class SortedRepresentation:
         return len(self.e_arr)
 
 
-def parse_edge_list(
-    stream: TextIO | str,
-    undirected: bool = False,
-    default_travel: int = 1,
-) -> TemporalGraph:
+def parse_edge_list(stream: TextIO | str, undirected: bool = False) -> TemporalGraph:
     """Parse whitespace-separated edge-list text into a TemporalGraph.
 
     Each non-empty, non-comment ('#') line holds 3 or 4 tokens:
-    ``tail head dep [travel]``.  Labels are mapped to dense ids in first
-    appearance order.  With ``undirected`` every line yields both edge
-    orientations.  Raises ParseError with the offending line number for
-    malformed lines, non-positive travel times, or self-loops.
+    ``tail head dep [travel]``, travel 1 when omitted.  Labels are
+    mapped to dense ids in first appearance order.  With ``undirected``
+    every line yields both edge orientations.  Raises ParseError with the
+    offending line number for malformed lines, non-positive travel times,
+    or self-loops.
     """
-    if default_travel < 1:
-        raise ValueError("default_travel must be >= 1")
     if isinstance(stream, str):
         lines = stream.splitlines()
     else:
@@ -155,7 +151,7 @@ def parse_edge_list(
             raise ParseError(line_no, f"expected 3 or 4 tokens, got {len(tokens)}")
         try:
             dep = int(tokens[2])
-            travel = int(tokens[3]) if len(tokens) == 4 else default_travel
+            travel = int(tokens[3]) if len(tokens) == 4 else 1
         except ValueError:
             raise ParseError(line_no, f"non-integer time field in {line!r}") from None
         if travel <= 0:
@@ -209,10 +205,9 @@ def build_sorted_representation(graph: TemporalGraph) -> SortedRepresentation:
     by_arr = [graph.edges[i] for i in order_arr]
     tails = [e.tail for e in by_arr]
     heads = [e.head for e in by_arr]
-    deps = [e.dep for e in by_arr]
     arrs = [e.arr for e in by_arr]
     return SortedRepresentation(graph, order_arr, e_dep_node, dep_times, e_arr_dep,
-                                tails, heads, deps, arrs)
+                                tails, heads, arrs)
 
 
 def underlying_graph(graph: TemporalGraph) -> StaticDigraph:

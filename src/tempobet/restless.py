@@ -6,11 +6,11 @@ inside its waiting window.  The forward scan therefore keeps, per node,
 a list of disjoint *interval quintuples* (lo, hi, cost, preds, eta)
 over the node's by-departure edge list:
 
-    positions lo..hi currently extend optimal incoming walks of cost
-    ``cost``; ``preds`` are the edges ending those walks, in arrival
-    order, each covering a recorded window [succ_lo[p], succ_hi[p]] of
-    positions; ``eta`` is the number of those walks not yet consumed by
-    finalisation.
+    positions lo..hi currently extend optimal incoming walks and so get
+    ``cost``, the extension of those walks' cost; ``preds`` are the edges
+    ending those walks, in arrival order, each covering a recorded window
+    [succ_lo[p], succ_hi[p]] of positions; ``eta`` is the number of those
+    walks not yet consumed by finalisation.
 
 Because a newly scanned edge arrives no earlier than every previous
 one, trimming the positions that depart before its arrival leaves the
@@ -67,7 +67,6 @@ class RestlessScan:
     """
 
     rep: SortedRepresentation
-    criterion: Criterion
     edge_cost: list
     edge_count: list[int]
     succ_lo: list[int]
@@ -89,11 +88,10 @@ class RestlessScan:
                 prev_hi = q.hi
 
 
-def new_scan(rep: SortedRepresentation, criterion: Criterion) -> RestlessScan:
+def new_scan(rep: SortedRepresentation) -> RestlessScan:
     m = rep.m
     return RestlessScan(
         rep=rep,
-        criterion=criterion,
         edge_cost=[None] * m,
         edge_count=[0] * m,
         succ_lo=[0] * m,
@@ -108,10 +106,10 @@ def finalise_up_to(scan: RestlessScan, v: int, j: int) -> None:
     """Freeze cost/count of positions frontier[v]..j of v's out list.
 
     Walks front quintuples, consuming predecessors whose coverage ends
-    by j: positions up to that coverage end get the quintuple's cost
-    extended by their own edge and the current eta, after which the
-    predecessor's own walks no longer count (eta shrinks).  Uncovered
-    positions stay unreachable.  No-op when j is below the frontier.
+    by j: positions up to that coverage end get the quintuple's cost and
+    the current eta, after which the predecessor's own walks no longer
+    count (eta shrinks).  Uncovered positions stay unreachable.  No-op
+    when j is below the frontier.
     """
     if j < scan.frontier[v]:
         return
@@ -119,8 +117,6 @@ def finalise_up_to(scan: RestlessScan, v: int, j: int) -> None:
     ivs = scan.intervals[v]
     edge_cost, edge_count = scan.edge_cost, scan.edge_count
     succ_hi = scan.succ_hi
-    extend = scan.criterion.extend
-    deps = scan.rep.deps
     finalised = consumed = 0
     while ivs:
         q = ivs[0]
@@ -134,7 +130,7 @@ def finalise_up_to(scan: RestlessScan, v: int, j: int) -> None:
             if rp >= q.lo:
                 for pos in range(q.lo, rp + 1):
                     f = lst[pos]
-                    edge_cost[f] = extend(q.cost, deps[f])
+                    edge_cost[f] = q.cost
                     edge_count[f] = q.eta
                 finalised += rp + 1 - q.lo
                 q.lo = rp + 1
@@ -146,7 +142,7 @@ def finalise_up_to(scan: RestlessScan, v: int, j: int) -> None:
         else:
             for pos in range(q.lo, j + 1):
                 f = lst[pos]
-                edge_cost[f] = extend(q.cost, deps[f])
+                edge_cost[f] = q.cost
                 edge_count[f] = q.eta
             finalised += j + 1 - q.lo
             q.lo = j + 1
@@ -165,15 +161,15 @@ def restless_forward(
 ) -> RestlessScan:
     """Optimal-walk cost and count per edge under waiting bound ``beta``."""
     n, m = rep.graph.n, rep.m
-    scan = new_scan(rep, criterion)
-    gamma = criterion.gamma
+    scan = new_scan(rep)
+    gamma, extend = criterion.gamma, criterion.extend
     edge_cost, edge_count = scan.edge_cost, scan.edge_count
     succ_lo, succ_hi = scan.succ_lo, scan.succ_hi
     intervals, frontier = scan.intervals, scan.frontier
 
     e_dep_node, dep_times = rep.e_dep_node, rep.dep_times
     e_arr_dep = rep.e_arr_dep
-    tails, heads, deps, arrs = rep.tails, rep.heads, rep.deps, rep.arrs
+    tails, heads, arrs = rep.tails, rep.heads, rep.arrs
     wait = math.inf if beta is None else beta
     scan.start = min(e_dep_node[source], default=m)
 
@@ -187,7 +183,7 @@ def restless_forward(
             frontier[u] = i + 1
         if u == source:
             # merge in the single-edge walk as one more candidate
-            g = gamma(deps[k])
+            g = gamma(dep_times[u][i])
             if not edge_count[k] or g < edge_cost[k]:
                 edge_cost[k] = g
                 edge_count[k] = 1
@@ -210,14 +206,14 @@ def restless_forward(
             frontier[v] = ws
         we = bisect_right(times, arr_k + wait, ws) - 1
         if ws > we:
-            succ_lo[k], succ_hi[k] = ws, ws - 1
-            continue
+            continue  # backward reads (0, -1) as an empty window
 
-        # Post-trim the whole list lies inside [ws, we]; merge by cost.
-        # ws is now v's frontier, so fresh coverage reopens no position
-        # a tail-side step of v already finalised.
+        # Post-trim the whole list lies inside [ws, we]; merge by the cost
+        # k's successors get, which orders like k's own as extend is
+        # strictly isotone.  ws is now v's frontier, so fresh coverage
+        # reopens no position a tail-side step of v already finalised.
         ivs = intervals[v]
-        ck = edge_cost[k]
+        ck = extend(edge_cost[k])
         new_lo = ivs[-1].hi + 1 if ivs else ws
         while ivs and ck < ivs[-1].cost:
             new_lo = ivs[-1].lo
@@ -232,9 +228,8 @@ def restless_forward(
             ivs.append(Quintuple(new_lo, we, ck, deque([k]), edge_count[k]))
             scan.stats["quintuples"] += 1
             succ_lo[k], succ_hi[k] = new_lo, we
-        else:
-            # strictly worse than all live walks and no uncovered tail
-            succ_lo[k], succ_hi[k] = we + 1, we
+        # else k is strictly worse than all live walks and has no
+        # uncovered tail, so it keeps the empty window (0, -1)
         if debug_invariants:
             scan.check_invariants()
 
@@ -257,13 +252,12 @@ def restless_backward(
 
     Window right ends never grow as the scan moves to earlier arrivals,
     so the per-node running sum mostly slides left; it is rebuilt when
-    the scanned edge's walk cost differs from the window's current cost
-    class (a successor must extend that exact cost, so sums for one
-    class are useless for another).
+    the cost a successor of the scanned edge must have, the extension of
+    the edge's own cost, differs from the one the window's sum is for.
     """
     n, m = rep.graph.n, rep.m
     extend = criterion.extend
-    heads, deps = rep.heads, rep.deps
+    heads = rep.heads
     e_dep_node = rep.e_dep_node
 
     edge_cost, edge_count = fwd.edge_cost, fwd.edge_count
@@ -278,7 +272,7 @@ def restless_backward(
     delta = [0] * n
     cur_lo = [0] * n
     cur_hi = [-1] * n
-    cur_class: list = [None] * n  # a reached edge's cost is never None
+    cur_want: list = [None] * n  # a reached edge's cost is never None
 
     for k in range(m - 1, fwd.start - 1, -1):
         cnt = edge_count[k]
@@ -289,26 +283,26 @@ def restless_backward(
         lo, hi = succ_lo[k], succ_hi[k]
         if lo <= hi:
             lst = e_dep_node[v]
-            cls = edge_cost[k]
+            want = extend(edge_cost[k])
             d = delta[v]
-            if cur_class[v] != cls or hi < cur_lo[v]:
+            if cur_want[v] != want or hi < cur_lo[v]:
                 d = 0
                 for pos in range(lo, hi + 1):
                     f = lst[pos]
-                    if edge_count[f] and edge_cost[f] == extend(cls, deps[f]):
+                    if edge_count[f] and edge_cost[f] == want:
                         d += dep[f]
                 window_ops += hi - lo + 1
                 cur_lo[v], cur_hi[v] = lo, hi
-                cur_class[v] = cls
+                cur_want[v] = want
             else:
                 old_hi, old_lo = cur_hi[v], cur_lo[v]
                 for pos in range(old_hi, hi, -1):
                     f = lst[pos]
-                    if edge_count[f] and edge_cost[f] == extend(cls, deps[f]):
+                    if edge_count[f] and edge_cost[f] == want:
                         d -= dep[f]
                 for pos in range(old_lo - 1, lo - 1, -1):
                     f = lst[pos]
-                    if edge_count[f] and edge_cost[f] == extend(cls, deps[f]):
+                    if edge_count[f] and edge_cost[f] == want:
                         d += dep[f]
                 if old_hi > hi:
                     window_ops += old_hi - hi

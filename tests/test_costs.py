@@ -25,7 +25,7 @@ def test_shortest_components():
     sh = get_criterion("sh")
     e = TemporalEdge(0, 1, 3, 2)
     assert sh.gamma(e.dep) == 1
-    assert sh.extend(2, 7) == 3
+    assert sh.extend(2) == 3
     assert sh.tc(e.arr, 4) == 4
 
 
@@ -111,17 +111,14 @@ def _is_cost(c) -> bool:
 
 @pytest.mark.parametrize("domain", DOMAINS)
 @settings(max_examples=200, deadline=None)
-@given(
-    ints=st.lists(st.integers(-50, 50), min_size=3, max_size=3),
-    dep=st.integers(1, 50),
-)
-def test_strict_right_isotonicity(domain, ints, dep):
-    """c1 < c2 implies extend(c1, dep) < extend(c2, dep)."""
+@given(ints=st.lists(st.integers(-50, 50), min_size=3, max_size=3))
+def test_strict_right_isotonicity(domain, ints):
+    """c1 < c2 implies extend(c1) < extend(c2)."""
     for name in DOMAINS[domain]:
         crit = get_criterion(name)
         c1, c2, _ = _cost_values(name, ints)
         if c1 < c2:
-            assert crit.extend(c1, dep) < crit.extend(c2, dep)
+            assert crit.extend(c1) < crit.extend(c2)
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
@@ -134,7 +131,7 @@ def test_order_is_total(domain, e, ints):
     for name in DOMAINS[domain]:
         crit = get_criterion(name)
         c1, _, _ = _cost_values(name, ints)
-        outputs = [crit.gamma(e.dep), crit.extend(c1, e.dep), crit.tc(e.arr, c1)]
+        outputs = [crit.gamma(e.dep), crit.extend(c1), crit.tc(e.arr, c1)]
         assert all(_is_cost(c) for c in outputs), (name, outputs)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tempobet.costs import ConfigError, get_criterion
+from tempobet.costs import ConfigError, Criterion, get_criterion
 from tempobet.driver import BLOCK, _block_sums, node_betweenness, single_source_edge_betweenness
 from tempobet.graph import (
     TemporalEdge,
@@ -140,6 +140,23 @@ def test_invalid_configuration():
         node_betweenness(g, "sh", workers=0)
     with pytest.raises(ConfigError):
         node_betweenness(g, "fa", engine="nonrestless")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_only_table_criterion_objects_accepted(workers):
+    """Workers and the engine choice look a criterion up by name, so a
+    Criterion object other than the table's own is rejected whatever the
+    worker count; the table's own object gives the name's result."""
+    g = random_temporal_graph(40, 300, 100, 3)  # 40 sources: three blocks
+    fa = get_criterion("fa")
+    for name in ("la", "mine"):
+        foreign = Criterion(name, fa.gamma, fa.extend, fa.tc)
+        with pytest.raises(ConfigError):
+            node_betweenness(g, foreign, 2, workers=workers)
+        with pytest.raises(ConfigError):
+            single_source_edge_betweenness(build_sorted_representation(g), 0, foreign, 2)
+    res = node_betweenness(g, get_criterion("la"), 2, workers=workers)
+    assert res.values == node_betweenness(g, "la", 2).values
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,15 @@ def test_fit_on_path(tmp_path):
     p.write_text(TOY_TEXT)
     est = TemporalBetweenness().fit(str(p))
     assert est.scores_["b"] == F(1, 2)
+    assert TemporalBetweenness().fit(p).scores_ == est.scores_
+
+
+def test_str_without_newline_is_a_path(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        TemporalBetweenness().fit("no/such/file.edges")
+    with pytest.raises(FileNotFoundError):
+        as_temporal_graph(tmp_path / "missing.edges")
+    assert as_temporal_graph("a b 1\n").m == 1
 
 
 def test_fit_transform_returns_vector(toy):

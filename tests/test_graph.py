@@ -104,7 +104,7 @@ def _assert_rep_invariants(g: TemporalGraph):
         assert a <= b
     assert sum(len(lst) for lst in rep.e_dep_node) == m
     for v in range(g.n):
-        node_deps = [rep.deps[p] for p in rep.e_dep_node[v]]
+        node_deps = [g.edges[rep.e_arr[p]].dep for p in rep.e_dep_node[v]]
         assert node_deps == sorted(node_deps)
         assert rep.dep_times[v] == node_deps
         for p in rep.e_dep_node[v]:

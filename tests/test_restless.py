@@ -60,7 +60,7 @@ def test_loop_beta1_forces_revisiting_walk(loop):
 def test_finalise_noop_below_frontier():
     g = TemporalGraph(2, [TemporalEdge(0, 1, 10, 1)])
     rep = build_sorted_representation(g)
-    scan = new_scan(rep, get_criterion("sh"))
+    scan = new_scan(rep)
     scan.frontier[0] = 1
     finalise_up_to(scan, 0, 0)
     assert scan.frontier[0] == 1 and scan.edge_count[0] == 0
@@ -83,11 +83,11 @@ def _staged_graph() -> TemporalGraph:
 
 def test_finalise_consumes_whole_quintuple():
     rep = build_sorted_representation(_staged_graph())
-    scan = new_scan(rep, get_criterion("sh"))
+    scan = new_scan(rep)
     pred = 0  # the (2,0,1,1) edge, covering both of node 0's first two slots
     scan.edge_count[pred] = 3
     scan.succ_hi[pred] = 1
-    scan.intervals[0].append(Quintuple(0, 1, 4, deque([pred]), 3))
+    scan.intervals[0].append(Quintuple(0, 1, 5, deque([pred]), 3))
     finalise_up_to(scan, 0, 1)
     assert not scan.intervals[0]
     assert scan.frontier[0] == 2
@@ -100,11 +100,11 @@ def test_finalise_staged_predecessor_consumption():
     first sub-range keeps the full count, the rest drops the consumed
     predecessor's walks."""
     rep = build_sorted_representation(_staged_graph())
-    scan = new_scan(rep, get_criterion("sh"))
+    scan = new_scan(rep)
     pa, pb = 0, 1  # the two (2,0,...) edges acting as predecessors
     scan.edge_count[pa], scan.edge_count[pb] = 2, 3
     scan.succ_hi[pa], scan.succ_hi[pb] = 0, 1
-    scan.intervals[0].append(Quintuple(0, 1, 5, deque([pa, pb]), 5))
+    scan.intervals[0].append(Quintuple(0, 1, 6, deque([pa, pb]), 5))
 
     finalise_up_to(scan, 0, 0)
     pos0 = rep.e_dep_node[0][0]

@@ -21,7 +21,8 @@ BETAS = (None, 0, 1, 2, 5)
 
 def reference_revisit_continuations(rep: SortedRepresentation, beta: int | None) -> list[int]:
     m = rep.m
-    deps, arrs, heads = rep.deps, rep.arrs, rep.heads
+    deps = [rep.graph.edges[i].dep for i in rep.e_arr]
+    arrs, heads = rep.arrs, rep.heads
     e_dep_node = rep.e_dep_node
     k_table = [0] * m
     for u in set(heads):
