@@ -18,6 +18,7 @@ exceeded, 6 ranking/label mismatch.
 from __future__ import annotations
 
 import argparse
+import random
 import statistics
 import sys
 import time
@@ -188,15 +189,12 @@ def cmd_bench(args) -> int:
         raise ConfigError(f"--reps must be at least 1, got {args.reps}")
     graph = _read_graph(args.input, args.undirected)
     rep = build_sorted_representation(graph)
-    sources = _parse_sources(args.sources, graph)
-    if sources is None:
+    if args.sources is None:
         # default: a small seeded sample, enough for per-source timing
-        import random as _random
-
-        rng = _random.Random(args.seed)
-        sample = sorted(rng.sample(range(graph.n), min(graph.n, 3))) if graph.n else []
+        sample = sorted(random.Random(args.seed).sample(range(graph.n), min(graph.n, 3)))
     else:
-        sample = sources
+        sources = _parse_sources(args.sources, graph)
+        sample = range(graph.n) if sources is None else sources
     times = []
     for r in range(args.reps):
         start = time.perf_counter()
@@ -260,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", default="inf", type=_int_token)
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sources", default="all", help="labels to time (default: seeded sample)")
+    p.add_argument("--sources", help="labels to time, or all (default: a seeded sample of 3)")
     p.set_defaults(func=cmd_bench)
 
     return parser

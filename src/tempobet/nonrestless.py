@@ -9,8 +9,8 @@ forward   -- for every edge e, the minimum hop count edge_cost[e] over
              such walks.  Works because an edge appended to a walk always
              arrives strictly later than the walk it extends, so the
              by-arrival order is a topological order of walk extension.
-intermediate (sfo only; also the restless engine's) -- per-node optimal
-             target values and their counts; for sh, forward's optima.
+intermediate (sfo only) -- per-node optimal target values and their
+             counts; for sh, forward's optima.
 backward  -- edge betweenness via the successor recursion (Brandes-style
              dependency accumulation): an edge's per-walk dependency is
              the sum of its successors' plus a terminal share when the
@@ -58,7 +58,9 @@ class BackwardState:
     """Target-side counts and the per-node sums of the edge scores.
 
     ``node_num[v]`` (set by backward) sums v's in-edge scores times the
-    int ``denom``.  Lean sh runs reuse forward's optimum, no edge_target_count.
+    int ``denom``.  Lean sh runs reuse forward's optimum, no edge_target_count;
+    restless runs take forward's target optima, and restless backward fills
+    edge_target_count.
     """
 
     best_target: list[object]
@@ -152,8 +154,7 @@ def intermediate_phase(
     """Per-node optimal target values and optimal-ending-walk counts.
 
     Generic over criteria: works for any cost domain the forward pass
-    produced, which is why the restless engine reuses it.  Positions
-    below ``start`` must be unreached.
+    produced.  Positions below ``start`` must be unreached.
     """
     n, m = rep.graph.n, rep.m
     heads, arrs = rep.heads, rep.arrs

@@ -28,6 +28,11 @@ successor window is its recorded coverage interval and the per-node
 running sum follows those windows right to left, dropping positions
 that fall off the right end.
 
+A scanned edge's cost and count are final, so forward folds them into
+its head's optimal target value and count, and backward tests target
+optimality inline: no intermediate pass runs.  The common tail-side
+step, freezing just the scanned edge's own position, is done inline.
+
 Every pass starts at the source's earliest-arriving out-edge, as every
 reached edge arrives no earlier.  The edges skipped would only move
 tail-side frontiers past positions that depart before every later
@@ -43,10 +48,11 @@ from dataclasses import dataclass, field
 
 from .costs import Criterion
 from .graph import SortedRepresentation
-from .nonrestless import BackwardState, intermediate_phase, terminal_shares
+# unused intermediate_phase stays importable: perfbench's tracer patches it here by name
+from .nonrestless import BackwardState, intermediate_phase, terminal_shares  # noqa: F401
 
 
-@dataclass
+@dataclass(slots=True)
 class Quintuple:
     lo: int
     hi: int
@@ -73,6 +79,8 @@ class RestlessScan:
     succ_hi: list[int]
     intervals: list[deque]
     frontier: list[int]
+    best_target: list[object]  # per node, over its reached in-edges
+    target_count: list[int]  # walks ending at best_target
     start: int = 0
     stats: dict[str, int] = field(default_factory=dict)
 
@@ -98,6 +106,8 @@ def new_scan(rep: SortedRepresentation) -> RestlessScan:
         succ_hi=[-1] * m,
         intervals=[deque() for _ in range(rep.graph.n)],
         frontier=[0] * rep.graph.n,
+        best_target=[None] * rep.graph.n,
+        target_count=[0] * rep.graph.n,
         stats={"quintuples": 0, "finalised": 0, "pred_consumed": 0, "window_ops": 0},
     )
 
@@ -159,13 +169,15 @@ def restless_forward(
     beta: int | None,
     debug_invariants: bool = False,
 ) -> RestlessScan:
-    """Optimal-walk cost and count per edge under waiting bound ``beta``."""
+    """Per-edge optimal-walk cost and count, and per-node target optima."""
     n, m = rep.graph.n, rep.m
     scan = new_scan(rep)
-    gamma, extend = criterion.gamma, criterion.extend
+    gamma, extend, tc = criterion.gamma, criterion.extend, criterion.tc
     edge_cost, edge_count = scan.edge_cost, scan.edge_count
     succ_lo, succ_hi = scan.succ_lo, scan.succ_hi
     intervals, frontier = scan.intervals, scan.frontier
+    best_target, target_count = scan.best_target, scan.target_count
+    finalised = consumed = 0
 
     e_dep_node, dep_times = rep.e_dep_node, rep.dep_times
     e_arr_dep = rep.e_arr_dep
@@ -179,7 +191,19 @@ def restless_forward(
         i = e_arr_dep[k]
         if i >= frontier[u]:
             if intervals[u]:
-                finalise_up_to(scan, u, i)
+                q = intervals[u][0]
+                if i == frontier[u] and q.lo == i:  # finalise_up_to(scan, u, i), inline
+                    edge_cost[k], edge_count[k] = q.cost, q.eta
+                    finalised += 1
+                    preds = q.preds
+                    while preds and succ_hi[preds[0]] == i:  # all reach q.lo
+                        q.eta -= edge_count[preds.popleft()]
+                        consumed += 1
+                    q.lo = i + 1
+                    if q.lo > q.hi:  # q.hi bounds every pred's coverage
+                        intervals[u].popleft()
+                else:
+                    finalise_up_to(scan, u, i)
             frontier[u] = i + 1
         if u == source:
             # merge in the single-edge walk as one more candidate
@@ -189,12 +213,19 @@ def restless_forward(
                 edge_count[k] = 1
             elif g == edge_cost[k]:
                 edge_count[k] += 1
-        if not edge_count[k]:
+        cnt = edge_count[k]
+        if not cnt:
             continue
 
         v = heads[k]
         times = dep_times[v]
         arr_k = arrs[k]
+        val = tc(arr_k, edge_cost[k])  # k is final: fold it into v's target optimum
+        cur = best_target[v]
+        if cur is None or val < cur:
+            best_target[v], target_count[v] = val, cnt
+        elif val == cur:
+            target_count[v] += cnt
 
         # Every position below frontier[v] departs before arr_k: a
         # tail-side step stops at an out-edge that departs before it
@@ -222,10 +253,10 @@ def restless_forward(
             q = ivs[-1]
             q.hi = we
             q.preds.append(k)
-            q.eta += edge_count[k]
+            q.eta += cnt
             succ_lo[k], succ_hi[k] = q.lo, we
         elif new_lo <= we:
-            ivs.append(Quintuple(new_lo, we, ck, deque([k]), edge_count[k]))
+            ivs.append(Quintuple(new_lo, we, ck, deque([k]), cnt))
             scan.stats["quintuples"] += 1
             succ_lo[k], succ_hi[k] = new_lo, we
         # else k is strictly worse than all live walks and has no
@@ -236,7 +267,8 @@ def restless_forward(
     for v in range(n):
         if intervals[v]:
             finalise_up_to(scan, v, len(e_dep_node[v]) - 1)
-
+    scan.stats["finalised"] += finalised
+    scan.stats["pred_consumed"] += consumed
     return scan
 
 
@@ -248,7 +280,8 @@ def restless_backward(
     back: BackwardState,
 ) -> list[int]:
     """Per-edge betweenness numerators over ``back.denom`` from the
-    recorded successor windows.
+    recorded successor windows; fills ``back.edge_target_count`` for the
+    reached edges ending a walk at their head's ``back.best_target``.
 
     Window right ends never grow as the scan moves to earlier arrivals,
     so the per-node running sum mostly slides left; it is rebuilt when
@@ -256,13 +289,13 @@ def restless_backward(
     the edge's own cost, differs from the one the window's sum is for.
     """
     n, m = rep.graph.n, rep.m
-    extend = criterion.extend
-    heads = rep.heads
+    extend, tc = criterion.extend, criterion.tc
+    heads, arrs = rep.heads, rep.arrs
     e_dep_node = rep.e_dep_node
 
     edge_cost, edge_count = fwd.edge_cost, fwd.edge_count
     succ_lo, succ_hi = fwd.succ_lo, fwd.succ_hi
-    edge_target_count = back.edge_target_count
+    edge_target_count, best_target = back.edge_target_count, back.best_target
     window_ops = 0
 
     share = terminal_shares(back, source)
@@ -279,6 +312,7 @@ def restless_backward(
         if not cnt:
             continue
         v = heads[k]
+        edge_target_count[k] = cnt if tc(arrs[k], edge_cost[k]) == best_target[v] else 0
         nk = share[v] if edge_target_count[k] else 0
         lo, hi = succ_lo[k], succ_hi[k]
         if lo <= hi:
@@ -294,7 +328,7 @@ def restless_backward(
                 window_ops += hi - lo + 1
                 cur_lo[v], cur_hi[v] = lo, hi
                 cur_want[v] = want
-            else:
+            elif hi != cur_hi[v] or lo != cur_lo[v]:
                 old_hi, old_lo = cur_hi[v], cur_lo[v]
                 for pos in range(old_hi, hi, -1):
                     f = lst[pos]
@@ -330,5 +364,5 @@ def single_source_edge_betweenness(
     """All three phases for one source under any criterion and bound;
     returns (edge score numerators over ``back.denom``, counts)."""
     fwd = restless_forward(rep, source, criterion, beta, debug_invariants)
-    back = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, criterion, fwd.start)
+    back = BackwardState(fwd.best_target, fwd.target_count, [0] * rep.m, [], start=fwd.start)
     return restless_backward(rep, source, criterion, fwd, back), back

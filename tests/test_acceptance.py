@@ -24,10 +24,8 @@ from tempobet.graph import (
     to_edge_list,
 )
 from tempobet.metrics import kendall_tau, top_k_intersection, weighted_kendall_tau
-from tempobet.nonrestless import forward_phase, intermediate_phase
 from tempobet.nonrestless import single_source_edge_betweenness as nonrestless_run
 from tempobet.oracle import g_loop, g_toy, oracle_betweenness
-from tempobet.restless import restless_backward, restless_forward
 from tempobet.restless import single_source_edge_betweenness as restless_run
 
 from conftest import edge_bc_by_original, make_random_graph
@@ -268,20 +266,14 @@ def test_criterion_6_linear_scaling_in_edges():
         runs = []
         for _ in range(5):
             start = time.perf_counter()
-            fwd = forward_phase(rep, 0)
-            back = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, sh)
-            from tempobet.nonrestless import backward_phase
-
-            backward_phase(rep, 0, fwd, back)
+            nonrestless_run(rep, 0, sh)
             runs.append(time.perf_counter() - start)
         t_nonrestless.append(min(runs))
 
         runs = []
         for _ in range(5):
             start = time.perf_counter()
-            fwd = restless_forward(rep, 0, sh, beta_used)
-            back = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, sh)
-            restless_backward(rep, 0, sh, fwd, back)
+            restless_run(rep, 0, sh, beta_used)
             runs.append(time.perf_counter() - start)
         t_restless.append(min(runs))
 

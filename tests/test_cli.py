@@ -237,6 +237,27 @@ def test_bench_explicit_sources(capsys, toy_file):
     assert sum(1 for ln in out.splitlines() if ln.startswith("rep ")) == 2
 
 
+@pytest.mark.parametrize("sources, timed_count", [(None, 3), ("all", 4)])
+def test_bench_sources_all_times_every_node(capsys, toy_file, monkeypatch, sources,
+                                            timed_count):
+    """An omitted --sources times a seeded sample of 3; 'all' every node,
+    as in compute."""
+    from tempobet import cli
+
+    timed = []
+    original = cli.single_source_edge_betweenness
+
+    def recording(rep, s, *args):
+        timed.append(s)
+        return original(rep, s, *args)
+
+    monkeypatch.setattr(cli, "single_source_edge_betweenness", recording)
+    argv = ["bench", "--input", toy_file, "--seed", "1"]
+    code, _, _ = run(capsys, *argv, *(["--sources", sources] if sources else []))
+    assert code == 0
+    assert timed == sorted(set(timed)) and len(timed) == timed_count
+
+
 def test_compute_workers_identical_csv(capsys, toy_file, tmp_path):
     a = tmp_path / "w1.csv"
     b = tmp_path / "w2.csv"

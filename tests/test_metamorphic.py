@@ -3,9 +3,9 @@
 Each check compares two exact runs that must agree by construction, so
 no brute-force ground truth is needed: the general engine against the
 lean one where both apply, a time-shifted graph against the original,
-fast mode against exact mode, and the engines' shortcuts (sh without
-the intermediate pass, node sums built in backward) against the long
-way round, here also on small seeded graphs.
+fast mode against exact mode, and the engines' shortcuts (target
+optima without the intermediate pass, node sums built in backward)
+against the long way round, here also on small seeded graphs.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from tempobet.graph import (
 )
 from tempobet.nonrestless import forward_phase, intermediate_phase
 from tempobet.nonrestless import single_source_edge_betweenness as nonrestless_run
+from tempobet.restless import restless_forward
 from tempobet.restless import single_source_edge_betweenness as restless_run
 
 from conftest import make_random_graph
@@ -58,6 +59,24 @@ def test_sh_target_counts_equal_intermediate_phase(graph):
             _, back = nonrestless_run(rep, s, sh)
             assert back.best_target == want.best_target
             assert back.target_count == want.target_count
+
+
+@pytest.mark.parametrize("beta", [0, 3, None])
+@pytest.mark.parametrize("crit_name", CRITERION_NAMES)
+def test_restless_target_optima_equal_intermediate_phase(graph, crit_name, beta):
+    """The restless engine keeps each node's target optimum in forward
+    and marks target-optimal edges in backward; both equal what the
+    intermediate pass derives from the same forward."""
+    crit = get_criterion(crit_name)
+    for g, sources in _graphs_and_sources(graph):
+        rep = build_sorted_representation(g)
+        for s in sources:
+            fwd = restless_forward(rep, s, crit, beta)
+            want = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, crit, fwd.start)
+            _, back = restless_run(rep, s, crit, beta)
+            assert back.best_target == want.best_target
+            assert back.target_count == want.target_count
+            assert back.edge_target_count == want.edge_target_count
 
 
 ENGINE_RUNS = [(c, b, "restless") for c in CRITERION_NAMES for b in (3, None)]

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from tempobet import restless
 from tempobet.costs import CRITERION_NAMES, get_criterion, walk_cost
 from tempobet.driver import node_betweenness, revisit_continuations
 from tempobet.graph import (
@@ -292,6 +293,33 @@ def test_operation_counters_exact(graph, crit_name, beta, want):
         restless_backward(rep, s, crit, fwd, back)
         got = [g + fwd.stats[k] for g, k in zip(got, keys)]
     assert tuple(got) == want
+
+
+def test_forward_freezes_own_position_inline(monkeypatch):
+    """On a regular ladder every tail-side step freezes just the scanned
+    edge's own position, which forward does without ``finalise_up_to``.
+    Outputs stay right without that step, so only its call count shows it."""
+    layers = 30
+    edges = [
+        TemporalEdge(2 * i + a, 2 * i + 2 + b, 2 * i, 1)
+        for i in range(layers - 1) for a in (0, 1) for b in (0, 1)
+    ]
+    g = TemporalGraph(2 * layers, edges)
+    rep = build_sorted_representation(g)
+    calls = 0
+    original = restless.finalise_up_to
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(restless, "finalise_up_to", counting)
+    finalised = 0
+    for s in range(g.n):
+        finalised += restless_forward(rep, s, get_criterion("la"), 3).stats["finalised"]
+    assert finalised > 0
+    assert calls < 0.05 * finalised
 
 
 def _late_source_graph() -> TemporalGraph:
