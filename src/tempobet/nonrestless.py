@@ -68,7 +68,6 @@ class BackwardState:
     edge_target_count: list[int]
     node_num: list[int]
     denom: int = 1
-    start: int = 0  # no position below it is reached
 
 
 def forward_phase(rep: SortedRepresentation, source: int) -> ForwardState:
@@ -182,7 +181,7 @@ def intermediate_phase(
             edge_target_count[k] = edge_count[k]
             target_count[v] += edge_count[k]
 
-    return BackwardState(best_target, target_count, edge_target_count, [], start=start)
+    return BackwardState(best_target, target_count, edge_target_count, [])
 
 
 def terminal_shares(back: BackwardState, source: int) -> list[int]:
@@ -267,7 +266,7 @@ def single_source_edge_betweenness(
         )
     fwd = forward_phase(rep, source)
     if criterion.name == "sh":
-        back = BackwardState(fwd.best_cost, fwd.best_count, [], [], start=fwd.start)
+        back = BackwardState(fwd.best_cost, fwd.best_count, [], [])
     else:
         back = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, criterion, fwd.start)
     return backward_phase(rep, source, fwd, back), back

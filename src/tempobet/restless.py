@@ -22,15 +22,19 @@ non-decreasing, which keeps every edge's coverage a single interval.
 
 A position is finalised (its optimal cost and walk count frozen) once
 no future edge can reach it, consuming its quintuple's predecessors in
-order.  The backward phase is the same successor recursion over int
+order.  Forward ends with no quintuple left: a quintuple covers only
+positions departing no earlier than its covering edges arrive, and as
+travel is positive each such position's edge arrives later, so it is
+scanned afterwards and its tail-side step freezes it.  The backward phase is the same successor recursion over int
 dependency numerators as the non-restless engine, except an edge's
 successor window is its recorded coverage interval and the per-node
 running sum follows those windows right to left, dropping positions
 that fall off the right end.
 
-A scanned edge's cost and count are final, so forward folds them into
-its head's optimal target value and count, and backward tests target
-optimality inline: no intermediate pass runs.  The common tail-side
+A scanned edge's cost and count are final, so forward records its
+target value and folds it into its head's optimal target value and
+count, and backward tests target optimality inline: no intermediate
+pass runs.  The common tail-side
 step, freezing just the scanned edge's own position, is done inline.
 
 Every pass starts at the source's earliest-arriving out-edge, as every
@@ -81,6 +85,7 @@ class RestlessScan:
     frontier: list[int]
     best_target: list[object]  # per node, over its reached in-edges
     target_count: list[int]  # walks ending at best_target
+    edge_tc: list  # per reached edge, the target value of its walks
     start: int = 0
     stats: dict[str, int] = field(default_factory=dict)
 
@@ -108,6 +113,7 @@ def new_scan(rep: SortedRepresentation) -> RestlessScan:
         frontier=[0] * rep.graph.n,
         best_target=[None] * rep.graph.n,
         target_count=[0] * rep.graph.n,
+        edge_tc=[None] * m,
         stats={"quintuples": 0, "finalised": 0, "pred_consumed": 0, "window_ops": 0},
     )
 
@@ -115,48 +121,32 @@ def new_scan(rep: SortedRepresentation) -> RestlessScan:
 def finalise_up_to(scan: RestlessScan, v: int, j: int) -> None:
     """Freeze cost/count of positions frontier[v]..j of v's out list.
 
-    Walks front quintuples, consuming predecessors whose coverage ends
-    by j: positions up to that coverage end get the quintuple's cost and
-    the current eta, after which the predecessor's own walks no longer
-    count (eta shrinks).  Uncovered positions stay unreachable.  No-op
-    when j is below the frontier.
+    One position at a time, front quintuple first: position q.lo gets
+    q's cost and current eta, then the predecessors whose coverage ends
+    there are consumed (their walks leave eta) and q.lo moves on; q goes
+    once q.lo passes q.hi, which bounds every predecessor's coverage.
+    Uncovered positions stay unreachable.  No-op when j is below the
+    frontier.
     """
     if j < scan.frontier[v]:
         return
     lst = scan.rep.e_dep_node[v]
     ivs = scan.intervals[v]
-    edge_cost, edge_count = scan.edge_cost, scan.edge_count
-    succ_hi = scan.succ_hi
+    edge_cost, edge_count, succ_hi = scan.edge_cost, scan.edge_count, scan.succ_hi
     finalised = consumed = 0
-    while ivs:
+    while ivs and ivs[0].lo <= j:
         q = ivs[0]
-        if q.lo > j:
-            break
+        i = q.lo
+        f = lst[i]
+        edge_cost[f], edge_count[f] = q.cost, q.eta
+        finalised += 1
         preds = q.preds
-        while preds and succ_hi[preds[0]] <= j:
-            p = preds.popleft()
+        while preds and succ_hi[preds[0]] == i:  # all reach q.lo
+            q.eta -= edge_count[preds.popleft()]
             consumed += 1
-            rp = succ_hi[p]
-            if rp >= q.lo:
-                for pos in range(q.lo, rp + 1):
-                    f = lst[pos]
-                    edge_cost[f] = q.cost
-                    edge_count[f] = q.eta
-                finalised += rp + 1 - q.lo
-                q.lo = rp + 1
-            q.eta -= edge_count[p]
-        if q.hi <= j:
-            # every pred's coverage ends by q.hi <= j, so all were
-            # consumed above and q.lo has moved past q.hi
+        q.lo = i + 1
+        if q.lo > q.hi:
             ivs.popleft()
-        else:
-            for pos in range(q.lo, j + 1):
-                f = lst[pos]
-                edge_cost[f] = q.cost
-                edge_count[f] = q.eta
-            finalised += j + 1 - q.lo
-            q.lo = j + 1
-            break
     scan.frontier[v] = j + 1
     scan.stats["finalised"] += finalised
     scan.stats["pred_consumed"] += consumed
@@ -170,13 +160,13 @@ def restless_forward(
     debug_invariants: bool = False,
 ) -> RestlessScan:
     """Per-edge optimal-walk cost and count, and per-node target optima."""
-    n, m = rep.graph.n, rep.m
+    m = rep.m
     scan = new_scan(rep)
     gamma, extend, tc = criterion.gamma, criterion.extend, criterion.tc
     edge_cost, edge_count = scan.edge_cost, scan.edge_count
     succ_lo, succ_hi = scan.succ_lo, scan.succ_hi
     intervals, frontier = scan.intervals, scan.frontier
-    best_target, target_count = scan.best_target, scan.target_count
+    best_target, target_count, edge_tc = scan.best_target, scan.target_count, scan.edge_tc
     finalised = consumed = 0
 
     e_dep_node, dep_times = rep.e_dep_node, rep.dep_times
@@ -220,7 +210,7 @@ def restless_forward(
         v = heads[k]
         times = dep_times[v]
         arr_k = arrs[k]
-        val = tc(arr_k, edge_cost[k])  # k is final: fold it into v's target optimum
+        edge_tc[k] = val = tc(arr_k, edge_cost[k])  # k is final: fold into v's optimum
         cur = best_target[v]
         if cur is None or val < cur:
             best_target[v], target_count[v] = val, cnt
@@ -264,9 +254,6 @@ def restless_forward(
         if debug_invariants:
             scan.check_invariants()
 
-    for v in range(n):
-        if intervals[v]:
-            finalise_up_to(scan, v, len(e_dep_node[v]) - 1)
     scan.stats["finalised"] += finalised
     scan.stats["pred_consumed"] += consumed
     return scan
@@ -289,11 +276,10 @@ def restless_backward(
     the edge's own cost, differs from the one the window's sum is for.
     """
     n, m = rep.graph.n, rep.m
-    extend, tc = criterion.extend, criterion.tc
-    heads, arrs = rep.heads, rep.arrs
-    e_dep_node = rep.e_dep_node
+    extend = criterion.extend
+    heads, e_dep_node = rep.heads, rep.e_dep_node
 
-    edge_cost, edge_count = fwd.edge_cost, fwd.edge_count
+    edge_cost, edge_count, edge_tc = fwd.edge_cost, fwd.edge_count, fwd.edge_tc
     succ_lo, succ_hi = fwd.succ_lo, fwd.succ_hi
     edge_target_count, best_target = back.edge_target_count, back.best_target
     window_ops = 0
@@ -312,7 +298,7 @@ def restless_backward(
         if not cnt:
             continue
         v = heads[k]
-        edge_target_count[k] = cnt if tc(arrs[k], edge_cost[k]) == best_target[v] else 0
+        edge_target_count[k] = cnt if edge_tc[k] == best_target[v] else 0
         nk = share[v] if edge_target_count[k] else 0
         lo, hi = succ_lo[k], succ_hi[k]
         if lo <= hi:
@@ -364,5 +350,5 @@ def single_source_edge_betweenness(
     """All three phases for one source under any criterion and bound;
     returns (edge score numerators over ``back.denom``, counts)."""
     fwd = restless_forward(rep, source, criterion, beta, debug_invariants)
-    back = BackwardState(fwd.best_target, fwd.target_count, [0] * rep.m, [], start=fwd.start)
+    back = BackwardState(fwd.best_target, fwd.target_count, [0] * rep.m, [])
     return restless_backward(rep, source, criterion, fwd, back), back

@@ -5,7 +5,8 @@ no brute-force ground truth is needed: the general engine against the
 lean one where both apply, a time-shifted graph against the original,
 fast mode against exact mode, and the engines' shortcuts (target
 optima without the intermediate pass, node sums built in backward)
-against the long way round, here also on small seeded graphs.
+against the long way round, here also on small seeded graphs.  One
+check is an invariant instead: restless forward leaves no quintuple.
 """
 from __future__ import annotations
 
@@ -77,6 +78,22 @@ def test_restless_target_optima_equal_intermediate_phase(graph, crit_name, beta)
             assert back.best_target == want.best_target
             assert back.target_count == want.target_count
             assert back.edge_target_count == want.edge_target_count
+
+
+@pytest.mark.parametrize("beta", [0, 3, None])
+@pytest.mark.parametrize("crit_name", CRITERION_NAMES)
+def test_restless_forward_leaves_no_quintuple(graph, crit_name, beta):
+    """Every covered position is scanned after its covering edges, and
+    its tail-side step freezes it, so no quintuple outlives the scan."""
+    crit = get_criterion(crit_name)
+    made = 0
+    for g, sources in _graphs_and_sources(graph):
+        rep = build_sorted_representation(g)
+        for s in sources:
+            fwd = restless_forward(rep, s, crit, beta)
+            assert not any(fwd.intervals)
+            made += fwd.stats["quintuples"]
+    assert made
 
 
 ENGINE_RUNS = [(c, b, "restless") for c in CRITERION_NAMES for b in (3, None)]

@@ -119,6 +119,28 @@ def test_finalise_staged_predecessor_consumption():
     assert not scan.intervals[0]
 
 
+def test_finalise_across_gap_and_two_quintuples():
+    """One call freezes a quintuple, skips an uncovered position and
+    freezes the next quintuple at its own cost."""
+    rep = build_sorted_representation(_staged_graph())
+    scan = new_scan(rep)
+    pa, pb = 0, 1  # the two (2,0,...) edges acting as predecessors
+    scan.edge_count[pa], scan.edge_count[pb] = 2, 3
+    scan.succ_lo[pa], scan.succ_hi[pa] = 0, 0
+    scan.succ_lo[pb], scan.succ_hi[pb] = 2, 2
+    scan.intervals[0].extend(
+        [Quintuple(0, 0, 5, deque([pa]), 2), Quintuple(2, 2, 6, deque([pb]), 3)]
+    )
+    finalise_up_to(scan, 0, 2)
+    pos0, pos1, pos2 = rep.e_dep_node[0]
+    assert (scan.edge_cost[pos0], scan.edge_count[pos0]) == (5, 2)
+    assert scan.edge_count[pos1] == 0
+    assert (scan.edge_cost[pos2], scan.edge_count[pos2]) == (6, 3)
+    assert not any(scan.intervals)
+    assert scan.frontier[0] == 3
+    assert scan.stats["finalised"] == 2 and scan.stats["pred_consumed"] == 2
+
+
 def test_staged_consumption_full_run_matches_oracle():
     # two equal-cost incoming walks whose reach windows end at different
     # out-edges of the middle node
