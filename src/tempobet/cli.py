@@ -87,7 +87,12 @@ def _read_scores(path: str) -> dict[str, Fraction]:
             label, _, value = line.rpartition(",")
             if not label:
                 raise ParseError(line_no, f"malformed score row {line!r}")
-            scores[label] = Fraction(value)
+            if label in scores:
+                raise ParseError(line_no, f"duplicate label {label!r}")
+            try:
+                scores[label] = Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(line_no, f"non-numeric score {value!r}") from None
     return scores
 
 

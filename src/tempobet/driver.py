@@ -305,6 +305,8 @@ def node_betweenness(
     beta = check_beta(beta)
     _pick_engine(crit, beta, engine)
     src_list = _check_sources(graph, sources)
+    if len(graph.labels) != graph.n or len(set(graph.labels)) != graph.n:
+        raise ConfigError(f"a graph of {graph.n} nodes needs {graph.n} distinct labels")
 
     rep = build_sorted_representation(graph)
     revisit = []

@@ -48,12 +48,8 @@ def _common_labels(a: Mapping[str, object], b: Mapping[str, object]) -> list[str
 
 def _ranks(scores: Mapping[str, object]) -> dict[str, int]:
     """0-based rank by descending score, ties broken by ascending label."""
-    order = sorted(scores, key=lambda lab: (-_as_float(scores[lab]), lab))
+    order = sorted(scores, key=lambda lab: (-float(scores[lab]), lab))
     return {lab: r for r, lab in enumerate(order)}
-
-
-def _as_float(v) -> float:
-    return float(v)
 
 
 def kendall_tau(a: Mapping[str, object], b: Mapping[str, object]) -> float:
@@ -121,7 +117,7 @@ def top_k(scores: Mapping[str, object], k: int) -> list[str]:
     if k < 0:
         raise RankingError("k must be non-negative")
     sc = _canonical(scores)
-    order = sorted(sc, key=lambda lab: (-_as_float(sc[lab]), lab))
+    order = sorted(sc, key=lambda lab: (-float(sc[lab]), lab))
     return order[:k]
 
 

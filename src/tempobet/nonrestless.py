@@ -220,7 +220,7 @@ def backward_phase(
     edge_bc = [0] * m
     back.node_num = node_num = [0] * n
     delta = [0] * n
-    win_lo = [len(lst) for lst in rep.e_dep_node]
+    win_lo: list[int | None] = [None] * n  # None: the open end of the slice
     run_cost: list[int | None] = [None] * n
 
     heads = rep.heads

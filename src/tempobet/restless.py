@@ -25,17 +25,17 @@ no future edge can reach it, consuming its quintuple's predecessors in
 order.  Forward ends with no quintuple left: a quintuple covers only
 positions departing no earlier than its covering edges arrive, and as
 travel is positive each such position's edge arrives later, so it is
-scanned afterwards and its tail-side step freezes it.  The backward phase is the same successor recursion over int
-dependency numerators as the non-restless engine, except an edge's
-successor window is its recorded coverage interval and the per-node
-running sum follows those windows right to left, dropping positions
-that fall off the right end.
+scanned afterwards and its tail-side step freezes it.  The backward
+phase is the same successor recursion over int dependency numerators
+as the non-restless engine, except an edge's successor window is its
+recorded coverage interval: the per-node running sum follows those
+windows right to left, by slices of the head's by-departure list.
 
 A scanned edge's cost and count are final, so forward records its
 target value and folds it into its head's optimal target value and
 count, and backward tests target optimality inline: no intermediate
-pass runs.  The common tail-side
-step, freezing just the scanned edge's own position, is done inline.
+pass runs.  The common tail-side step, freezing just the scanned
+edge's own position, is done inline.
 
 Every pass starts at the source's earliest-arriving out-edge, as every
 reached edge arrives no earlier.  The edges skipped would only move
@@ -270,10 +270,10 @@ def restless_backward(
     recorded successor windows; fills ``back.edge_target_count`` for the
     reached edges ending a walk at their head's ``back.best_target``.
 
-    Window right ends never grow as the scan moves to earlier arrivals,
-    so the per-node running sum mostly slides left; it is rebuilt when
-    the cost a successor of the scanned edge must have, the extension of
-    the edge's own cost, differs from the one the window's sum is for.
+    A successor has the extension of the scanned edge's cost; an
+    unreached position's cost is None, which no extension equals.  Going
+    to earlier arrivals, overlapping windows of one extension only move
+    left, so the running sum slides by two slices, else it is rebuilt.
     """
     n, m = rep.graph.n, rep.m
     extend = criterion.extend
@@ -307,29 +307,20 @@ def restless_backward(
             d = delta[v]
             if cur_want[v] != want or hi < cur_lo[v]:
                 d = 0
-                for pos in range(lo, hi + 1):
-                    f = lst[pos]
-                    if edge_count[f] and edge_cost[f] == want:
+                for f in lst[lo:hi + 1]:
+                    if edge_cost[f] == want:
                         d += dep[f]
                 window_ops += hi - lo + 1
-                cur_lo[v], cur_hi[v] = lo, hi
                 cur_want[v] = want
             elif hi != cur_hi[v] or lo != cur_lo[v]:
-                old_hi, old_lo = cur_hi[v], cur_lo[v]
-                for pos in range(old_hi, hi, -1):
-                    f = lst[pos]
-                    if edge_count[f] and edge_cost[f] == want:
+                for f in lst[hi + 1:cur_hi[v] + 1]:
+                    if edge_cost[f] == want:
                         d -= dep[f]
-                for pos in range(old_lo - 1, lo - 1, -1):
-                    f = lst[pos]
-                    if edge_count[f] and edge_cost[f] == want:
+                for f in lst[lo:cur_lo[v]]:
+                    if edge_cost[f] == want:
                         d += dep[f]
-                if old_hi > hi:
-                    window_ops += old_hi - hi
-                    cur_hi[v] = hi
-                if old_lo > lo:
-                    window_ops += old_lo - lo
-                    cur_lo[v] = lo
+                window_ops += cur_hi[v] - hi + cur_lo[v] - lo
+            cur_lo[v], cur_hi[v] = lo, hi
             delta[v] = d
             nk += d
         dep[k] = nk

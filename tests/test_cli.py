@@ -164,6 +164,22 @@ def test_compare_label_mismatch_exits_6(capsys, tmp_path):
     assert code == 6
 
 
+@pytest.mark.parametrize("rows, reason", [
+    ("x,1\ny,abc\n", "line 3: non-numeric score 'abc'"),
+    ("x,1\ny,1/0\n", "line 3: non-numeric score '1/0'"),
+    # kept silently, the last x row would make b rank like a reversed
+    ("x,1\ny,0\nx,-1\n", "line 4: duplicate label 'x'"),
+])
+def test_compare_bad_score_row_exits_2(capsys, tmp_path, rows, reason):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    a.write_text("node,betweenness\nx,1\ny,0\n")
+    b.write_text("node,betweenness\n" + rows)
+    code, out, err = run(capsys, "compare", str(a), str(b), "--metric", "kendall")
+    assert code == 2 and out == ""
+    assert err.strip() == f"parse error: {reason}"
+
+
 def test_compare_topk_k_too_large_exits_6(capsys, tmp_path):
     a = tmp_path / "a.csv"
     a.write_text("node,betweenness\nx,1\ny,0\n")

@@ -8,6 +8,7 @@ import pytest
 
 from tempobet.costs import ConfigError, Criterion, get_criterion
 from tempobet.driver import BLOCK, _block_sums, node_betweenness, single_source_edge_betweenness
+from tempobet.estimator import TemporalBetweenness
 from tempobet.graph import (
     TemporalEdge,
     TemporalGraph,
@@ -176,6 +177,20 @@ def test_only_table_criterion_objects_accepted(workers):
 def test_bad_input_raises_config_error(toy, kwargs):
     with pytest.raises(ConfigError):
         node_betweenness(toy, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "labels", [["a", "b"], ["a", "a", "c"], ["a", "b", "c", "d"]],
+    ids=["too-few", "repeat", "too-many"],
+)
+def test_bad_labels_raise_config_error(labels):
+    # too few labels would drop a node from as_dict(), a repeat would merge two
+    g = TemporalGraph(3, [TemporalEdge(0, 1, 1, 1), TemporalEdge(1, 2, 2, 1)], labels)
+    match = "a graph of 3 nodes needs 3 distinct labels"
+    with pytest.raises(ConfigError, match=match):
+        node_betweenness(g, "sh")
+    with pytest.raises(ConfigError, match=match):
+        TemporalBetweenness().fit(g)
 
 
 @pytest.mark.parametrize(

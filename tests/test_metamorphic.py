@@ -2,11 +2,15 @@
 
 Each check compares two exact runs that must agree by construction, so
 no brute-force ground truth is needed: the general engine against the
-lean one where both apply, a time-shifted graph against the original,
-fast mode against exact mode, and the engines' shortcuts (target
-optima without the intermediate pass, node sums built in backward)
-against the long way round, here also on small seeded graphs.  One
-check is an invariant instead: restless forward leaves no quintuple.
+lean one where both apply, a time-shifted or time-scaled graph against
+the original, a bound of at least the graph's time span against no
+bound, fast mode against exact mode, and the engines' shortcuts
+(target optima without the intermediate pass, node sums built in
+backward) against the long way round, several also on small seeded
+graphs.  Two checks are invariants of restless forward instead, which
+its backward relies on: it leaves no quintuple and no cost on an
+unreached edge, and a head's successor windows, in reverse arrival
+order, only move left while their extended cost stays the same.
 """
 from __future__ import annotations
 
@@ -38,12 +42,15 @@ def graph() -> TemporalGraph:
     return random_temporal_graph(400, 10_000, t_max=200, seed=2025)
 
 
+def _small_graphs() -> list[TemporalGraph]:
+    rng = random.Random(43)
+    return [make_random_graph(rng) for _ in range(30)]
+
+
 def _graphs_and_sources(graph):
     """The big graph with SOURCES, then small seeded graphs with all sources."""
     yield graph, SOURCES
-    rng = random.Random(43)
-    for _ in range(30):
-        g = make_random_graph(rng)
+    for g in _small_graphs():
         yield g, range(g.n)
 
 
@@ -92,8 +99,37 @@ def test_restless_forward_leaves_no_quintuple(graph, crit_name, beta):
         for s in sources:
             fwd = restless_forward(rep, s, crit, beta)
             assert not any(fwd.intervals)
+            # backward's window sums read a None cost as unreached
+            assert all((c is None) == (not x) for c, x in zip(fwd.edge_cost, fwd.edge_count))
             made += fwd.stats["quintuples"]
     assert made
+
+
+@pytest.mark.parametrize("beta", [0, 3, None])
+@pytest.mark.parametrize("crit_name", CRITERION_NAMES)
+def test_restless_windows_only_move_left_within_a_run(graph, crit_name, beta):
+    """Replays restless_backward's window choice per head, in reverse
+    arrival order: a window that overlaps the head's previous one, for
+    the same extended cost, moves neither end right, so the running sum
+    slides by dropping its right slice and adding its left one."""
+    crit = get_criterion(crit_name)
+    checked = 0
+    for g, sources in _graphs_and_sources(graph):
+        rep = build_sorted_representation(g)
+        for s in sources:
+            fwd = restless_forward(rep, s, crit, beta)
+            last = {}
+            for k in range(rep.m - 1, -1, -1):
+                lo, hi = fwd.succ_lo[k], fwd.succ_hi[k]
+                if not fwd.edge_count[k] or lo > hi:
+                    continue
+                v = rep.heads[k]
+                want = crit.extend(fwd.edge_cost[k])
+                if v in last and last[v][0] == want and hi >= last[v][1]:
+                    assert lo <= last[v][1] and hi <= last[v][2], (s, k)
+                    checked += 1
+                last[v] = (want, lo, hi)
+    assert checked
 
 
 ENGINE_RUNS = [(c, b, "restless") for c in CRITERION_NAMES for b in (3, None)]
@@ -142,3 +178,50 @@ def test_fast_mode_within_1e9_of_exact(graph, crit_name, beta):
     assert all(isinstance(f, float) for f in fast)
     for x, f in zip(exact, fast):
         assert abs(f - float(x)) <= 1e-9 * abs(float(x))
+
+
+def _scaled(g: TemporalGraph, c: int) -> TemporalGraph:
+    return TemporalGraph(g.n, [TemporalEdge(e.tail, e.head, c * e.dep, c * e.travel)
+                               for e in g.edges])
+
+
+@pytest.mark.parametrize("crit_name, beta", RUNS)
+def test_time_scaling_leaves_node_scores_unchanged(graph, crit_name, beta):
+    """Multiplying every departure, travel and the bound by 3 keeps every
+    cost order and every waiting window, so no score moves."""
+    base = node_betweenness(graph, crit_name, beta, sources=SOURCES).values
+    assert any(base)
+    beta3 = None if beta is None else 3 * beta
+    assert node_betweenness(_scaled(graph, 3), crit_name, beta3, sources=SOURCES).values == base
+
+
+@pytest.mark.parametrize("crit_name", CRITERION_NAMES)
+def test_time_scaling_small_graphs(crit_name):
+    for g in _small_graphs():
+        for beta in (0, 2, None):
+            beta3 = None if beta is None else 3 * beta
+            assert (node_betweenness(_scaled(g, 3), crit_name, beta3).values
+                    == node_betweenness(g, crit_name, beta).values)
+
+
+def _span(g: TemporalGraph) -> int:
+    return max(e.arr for e in g.edges) - min(e.dep for e in g.edges)
+
+
+@pytest.mark.parametrize("crit_name", [c for c in CRITERION_NAMES if c != "la"])
+def test_bound_at_time_span_equals_unbounded(graph, crit_name):
+    """No walk waits longer than the graph's time span, so a bound of at
+    least the span gives the unbounded scores (for sh and sfo this also
+    compares the restless engine with the lean one)."""
+    base = node_betweenness(graph, crit_name, None, sources=SOURCES).values
+    assert any(base)
+    span = _span(graph)
+    assert node_betweenness(graph, crit_name, span, sources=SOURCES).values == base
+
+
+@pytest.mark.parametrize("crit_name", CRITERION_NAMES)
+def test_bound_at_time_span_small_graphs(crit_name):
+    for g in _small_graphs():
+        base = node_betweenness(g, crit_name, None).values
+        for beta in (_span(g), _span(g) + 5):
+            assert node_betweenness(g, crit_name, beta).values == base
