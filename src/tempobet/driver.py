@@ -24,6 +24,7 @@ from __future__ import annotations
 import concurrent.futures
 import functools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -133,21 +134,27 @@ def revisit_continuations(rep: SortedRepresentation, beta: int | None) -> list[i
     extended, so the node aggregation must subtract the exact share; the
     counts returned here (independent of the source) provide it.
 
-    Counts are computed per head node u with a right-to-left sliding
-    window over extension edges.  A continuation of an in-edge of u
-    departs no earlier than that edge arrives, so it arrives strictly
-    after u's first in-edge, and it ends with an in-edge of u: only the
-    arrival positions from u's first to u's last in-edge take part, and
-    a head with one in-edge has no continuation at all.  Inside the
-    span, an edge whose head has no out-edge continuing to u yet is
-    skipped.  The cost is the sum over heads of these arrival spans: on
-    graphs whose nodes receive edges throughout the time span it is
-    still O(M) per head.
+    Counts are computed per head node u, in reverse arrival order, from
+    each edge's continuation window: the positions of its head's
+    by-departure list that it can extend, found once per call by
+    bisection.  A continuation of an in-edge of u departs no earlier
+    than that edge arrives, so it arrives strictly after u's first
+    in-edge, and it ends with an in-edge of u: only the arrival
+    positions from u's first to u's last in-edge take part, and a head
+    with one in-edge has no continuation at all.  Inside the span, an
+    edge whose head has no out-edge continuing to u yet is skipped.
+    Going to earlier arrivals a node's windows only move left, so its
+    running sum slides by two slices, and is rebuilt when the new window
+    lies left of the old one or was built for another head.  The cost is
+    the sum over heads of these arrival spans: on graphs whose nodes
+    receive edges throughout the time span it is still O(M) per head.
     """
     m, n = rep.m, rep.graph.n
     arrs, tails, heads = rep.arrs, rep.tails, rep.heads
     e_dep_node, dep_times = rep.e_dep_node, rep.dep_times
-    size = [len(lst) for lst in e_dep_node]
+    wait = math.inf if beta is None else beta
+    win_lo = [bisect_left(dep_times[v], t) for v, t in zip(heads, arrs)]
+    win_hi = [bisect_right(dep_times[v], t + wait) for v, t in zip(heads, arrs)]
     first = [m] * n
     last = [-1] * n
     for k, v in enumerate(heads):
@@ -155,56 +162,41 @@ def revisit_continuations(rep: SortedRepresentation, beta: int | None) -> list[i
             first[v] = k
         last[v] = k
     k_table = [0] * m
-    # per-head state, reset after each head over the entries it touched
-    walks_to_u = [0] * m
-    lo = size[:]
-    hi = [s - 1 for s in size]
-    window_sum = [0] * n
-    # live[v]: some out-edge of v scanned so far continues to u
-    live = [False] * n
+    walks_to_u = [0] * m  # reset after each head over its span
+    # per node, the window [cur_lo, cur_hi) and its sum, built for head
+    # built[v]; live[v] == u: some out-edge of v scanned so far continues to u
+    cur_lo, cur_hi, window_sum = [0] * n, [0] * n, [0] * n
+    built = [-1] * n
+    live = [-1] * n
     for u in range(n):
         a, b = first[u], last[u]
         if a >= b:
             continue
-        # reverse arrival order: every extension edge is processed first,
-        # and per node both window ends only ever move left
         for k in range(b, a - 1, -1):
             v = heads[k]
-            if v != u and not live[v]:
-                # no continuation to u yet, so walks_to_u[k] stays 0;
-                # v's window ends catch up on its next live edge
-                continue
-            lst, times = e_dep_node[v], dep_times[v]
-            arr_k = arrs[k]
-            if beta is not None:
-                reach = arr_k + beta
-                h = hi[v]
-                while h >= 0 and times[h] > reach:
-                    if h >= lo[v]:
-                        window_sum[v] -= walks_to_u[lst[h]]
-                    h -= 1
-                hi[v] = h
-            left = lo[v]
-            h = hi[v]
-            while left > 0 and times[left - 1] >= arr_k:
-                left -= 1
-                if left <= h:
-                    window_sum[v] += walks_to_u[lst[left]]
-            lo[v] = left
+            if v != u and live[v] != u:
+                continue  # no continuation to u yet, so walks_to_u[k] stays 0
+            lo, hi = win_lo[k], win_hi[k]
+            d = window_sum[v]
+            if built[v] != u or hi <= cur_lo[v]:
+                d = 0
+                for f in e_dep_node[v][lo:hi]:
+                    d += walks_to_u[f]
+                built[v] = u
+            elif hi != cur_hi[v] or lo != cur_lo[v]:
+                lst = e_dep_node[v]
+                for f in lst[hi:cur_hi[v]]:
+                    d -= walks_to_u[f]
+                for f in lst[lo:cur_lo[v]]:
+                    d += walks_to_u[f]
+            cur_lo[v], cur_hi[v], window_sum[v] = lo, hi, d
             if v == u:
-                k_table[k] = window_sum[v]
-                walks_to_u[k] = 1 + window_sum[v]
-                live[tails[k]] = True
-            elif window_sum[v]:
-                walks_to_u[k] = window_sum[v]
-                live[tails[k]] = True
+                k_table[k] = d
+                d += 1
+            if d:
+                walks_to_u[k] = d
+                live[tails[k]] = u
         walks_to_u[a:b + 1] = [0] * (b + 1 - a)
-        for v in set(heads[a:b + 1]):
-            lo[v] = size[v]
-            hi[v] = size[v] - 1
-            window_sum[v] = 0
-        for v in set(tails[a:b + 1]):
-            live[v] = False
     return k_table
 
 
@@ -233,15 +225,16 @@ def _block_sums(
     for source in block:
         _, back = single_source_edge_betweenness(rep, source, crit, beta, engine)
         denom, num = back.denom, back.node_num
-        target_count = back.target_count
+        best_target, target_count = back.best_target, back.target_count
+        edge_tc, edge_count = back.edge_tc, back.edge_count
         for u, c in enumerate(target_count):
             if c:
                 num[u] -= denom
-        etc = back.edge_target_count
         for k, cont in revisit:
             u = heads[k]
-            if etc[k] and u != source:
-                num[u] -= etc[k] * cont * (denom // target_count[u])
+            # an unreached edge and an unreached node both read None
+            if u != source and edge_count[k] and edge_tc[k] == best_target[u]:
+                num[u] -= edge_count[k] * cont * (denom // target_count[u])
         num[source] = 0
         parts.append((denom, num))
     lcm = math.lcm(*(denom for denom, _ in parts))

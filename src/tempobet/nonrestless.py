@@ -57,15 +57,18 @@ class ForwardState:
 class BackwardState:
     """Target-side counts and the per-node sums of the edge scores.
 
-    ``node_num[v]`` (set by backward) sums v's in-edge scores times the
-    int ``denom``.  Lean sh runs reuse forward's optimum, no edge_target_count;
-    restless runs take forward's target optima, and restless backward fills
-    edge_target_count.
+    ``edge_tc`` and ``edge_count`` are the engine's own per-edge lists:
+    an edge with a count ends that many walks to its head, and they are
+    target-optimal exactly when its target value equals the head's
+    ``best_target``.  Lean sh runs pass forward's hop costs and optima,
+    which are their target values.  ``node_num[v]`` (set by backward)
+    sums v's in-edge scores times the int ``denom``.
     """
 
     best_target: list[object]
     target_count: list[int]
-    edge_target_count: list[int]
+    edge_tc: list[object]
+    edge_count: list[int]
     node_num: list[int]
     denom: int = 1
 
@@ -172,16 +175,12 @@ def intermediate_phase(
             best_target[v] = val
 
     target_count = [0] * n
-    edge_target_count = [0] * m
     for k in range(start, m):
-        if not edge_count[k]:
-            continue
         v = heads[k]
-        if edge_tc[k] == best_target[v]:
-            edge_target_count[k] = edge_count[k]
+        if edge_tc[k] == best_target[v]:  # an unreached edge adds count 0
             target_count[v] += edge_count[k]
 
-    return BackwardState(best_target, target_count, edge_target_count, [])
+    return BackwardState(best_target, target_count, edge_tc, edge_count, [])
 
 
 def terminal_shares(back: BackwardState, source: int) -> list[int]:
@@ -226,14 +225,12 @@ def backward_phase(
     heads = rep.heads
     e_dep_node = rep.e_dep_node
     edge_cost, edge_count = fwd.edge_cost, fwd.edge_count
-    # sh has no edge_target_count: a walk is target-optimal by its hops
-    edge_target_count, best_target = back.edge_target_count, back.best_target
+    edge_tc, best_target = back.edge_tc, back.best_target
 
     for k, ls in reversed(fwd.live):
         v = heads[k]
         ck = edge_cost[k]
-        optimal = edge_target_count[k] if edge_target_count else ck == best_target[v]
-        nk = share[v] if optimal else 0
+        nk = share[v] if edge_tc[k] == best_target[v] else 0
         ck1 = ck + 1
         if run_cost[v] != ck1:
             run_cost[v] = ck1
@@ -266,7 +263,7 @@ def single_source_edge_betweenness(
         )
     fwd = forward_phase(rep, source)
     if criterion.name == "sh":
-        back = BackwardState(fwd.best_cost, fwd.best_count, [], [])
+        back = BackwardState(fwd.best_cost, fwd.best_count, fwd.edge_cost, fwd.edge_count, [])
     else:
         back = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, criterion, fwd.start)
     return backward_phase(rep, source, fwd, back), back

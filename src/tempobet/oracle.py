@@ -16,7 +16,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .costs import Criterion, walk_cost
+from .costs import Criterion, get_criterion, walk_cost
+from .driver import check_beta
 from .graph import StaticDigraph, TemporalEdge, TemporalGraph
 
 DEFAULT_WALK_CAP = 10**7
@@ -62,8 +63,10 @@ def enumerate_walks(
     A walk may be extended by edge f when arr(last) <= dep(f) and, with a
     finite waiting bound, dep(f) <= arr(last) + beta.  Departures strictly
     increase along a walk, so enumeration always terminates; the cap
-    guards against exponential blowups on unsuitable inputs.
+    guards against exponential blowups on unsuitable inputs.  A bad
+    ``beta`` raises ConfigError, and "inf" means unrestricted.
     """
+    beta = check_beta(beta)
     walks: list[tuple[int, ...]] = []
     stack: list[tuple[tuple[int, ...], int]] = []
     for i, e in enumerate(graph.edges):
@@ -113,7 +116,7 @@ class OracleReport:
 
 def oracle_betweenness(
     graph: TemporalGraph,
-    criterion: Criterion,
+    criterion: str | Criterion,
     beta: int | None = None,
     cap: int = DEFAULT_WALK_CAP,
     walks_by_source: dict[int, list[tuple[int, ...]]] | None = None,
@@ -121,8 +124,12 @@ def oracle_betweenness(
     """Exhaustively derive every optimal-walk count and betweenness value.
 
     ``walks_by_source`` lets callers reuse one enumeration across several
-    criteria for the same (graph, beta).
+    criteria for the same (graph, beta).  ``criterion`` may be a name,
+    and ``beta`` is checked as enumerate_walks checks it.
     """
+    if isinstance(criterion, str):
+        criterion = get_criterion(criterion)
+    beta = check_beta(beta)
     rep = OracleReport(criterion.name, beta)
     rep.node_bc = [Fraction(0)] * graph.n
 
@@ -198,7 +205,7 @@ def oracle_betweenness(
 
 def oracle_node_betweenness(
     graph: TemporalGraph,
-    criterion: Criterion,
+    criterion: str | Criterion,
     beta: int | None = None,
     cap: int = DEFAULT_WALK_CAP,
 ) -> dict[str, Fraction]:

@@ -267,8 +267,8 @@ def restless_backward(
     back: BackwardState,
 ) -> list[int]:
     """Per-edge betweenness numerators over ``back.denom`` from the
-    recorded successor windows; fills ``back.edge_target_count`` for the
-    reached edges ending a walk at their head's ``back.best_target``.
+    recorded successor windows; a reached edge whose target value is its
+    head's ``back.best_target`` also ends target-optimal walks.
 
     A successor has the extension of the scanned edge's cost; an
     unreached position's cost is None, which no extension equals.  Going
@@ -279,9 +279,9 @@ def restless_backward(
     extend = criterion.extend
     heads, e_dep_node = rep.heads, rep.e_dep_node
 
-    edge_cost, edge_count, edge_tc = fwd.edge_cost, fwd.edge_count, fwd.edge_tc
+    edge_cost, edge_count = fwd.edge_cost, fwd.edge_count
     succ_lo, succ_hi = fwd.succ_lo, fwd.succ_hi
-    edge_target_count, best_target = back.edge_target_count, back.best_target
+    edge_tc, best_target = back.edge_tc, back.best_target
     window_ops = 0
 
     share = terminal_shares(back, source)
@@ -298,8 +298,7 @@ def restless_backward(
         if not cnt:
             continue
         v = heads[k]
-        edge_target_count[k] = cnt if edge_tc[k] == best_target[v] else 0
-        nk = share[v] if edge_target_count[k] else 0
+        nk = share[v] if edge_tc[k] == best_target[v] else 0
         lo, hi = succ_lo[k], succ_hi[k]
         if lo <= hi:
             lst = e_dep_node[v]
@@ -341,5 +340,5 @@ def single_source_edge_betweenness(
     """All three phases for one source under any criterion and bound;
     returns (edge score numerators over ``back.denom``, counts)."""
     fwd = restless_forward(rep, source, criterion, beta, debug_invariants)
-    back = BackwardState(fwd.best_target, fwd.target_count, [0] * rep.m, [])
+    back = BackwardState(fwd.best_target, fwd.target_count, fwd.edge_tc, fwd.edge_count, [])
     return restless_backward(rep, source, criterion, fwd, back), back

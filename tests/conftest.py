@@ -38,3 +38,17 @@ def edge_bc_by_original(rep, edge_bc, denom) -> dict[int, Fraction]:
     """Engine output (int numerators over ``denom``, by arrival position)
     as Fraction scores keyed by original edge index."""
     return {rep.e_arr[k]: Fraction(edge_bc[k], denom) for k in range(rep.m)}
+
+
+def check_target_record(rep, source, back, orc) -> None:
+    """Assert that one source's target record equals the oracle's: per
+    edge not into the source, its target-optimal walk count, and per
+    node but the source, its target count."""
+    for k in range(rep.m):
+        v = rep.heads[k]
+        if v != source:
+            got = back.edge_count[k] if back.edge_tc[k] == back.best_target[v] else 0
+            assert got == orc.sigma_star_se.get((source, rep.e_arr[k]), 0), (source, k)
+    for v in range(rep.graph.n):
+        if v != source:
+            assert back.target_count[v] == orc.sigma_star_st.get((source, v), 0), (source, v)

@@ -72,8 +72,8 @@ def test_sh_target_counts_equal_intermediate_phase(graph):
 @pytest.mark.parametrize("beta", [0, 3, None])
 @pytest.mark.parametrize("crit_name", CRITERION_NAMES)
 def test_restless_target_optima_equal_intermediate_phase(graph, crit_name, beta):
-    """The restless engine keeps each node's target optimum in forward
-    and marks target-optimal edges in backward; both equal what the
+    """The restless engine keeps each node's target optimum and each
+    reached edge's target value in forward; both equal what the
     intermediate pass derives from the same forward."""
     crit = get_criterion(crit_name)
     for g, sources in _graphs_and_sources(graph):
@@ -84,7 +84,7 @@ def test_restless_target_optima_equal_intermediate_phase(graph, crit_name, beta)
             _, back = restless_run(rep, s, crit, beta)
             assert back.best_target == want.best_target
             assert back.target_count == want.target_count
-            assert back.edge_target_count == want.edge_target_count
+            assert back.edge_tc == want.edge_tc
 
 
 @pytest.mark.parametrize("beta", [0, 3, None])

@@ -15,7 +15,7 @@ from tempobet.nonrestless import (
 )
 from tempobet.oracle import enumerate_walks, oracle_betweenness
 
-from conftest import edge_bc_by_original, make_random_graph
+from conftest import check_target_record, edge_bc_by_original, make_random_graph
 
 
 def _by_original(rep, arr):
@@ -55,7 +55,8 @@ def test_intermediate_toy_sfo_and_sh(toy):
     sfo = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, get_criterion("sfo"))
     assert sfo.best_target[3] == (4, 2)
     assert sfo.target_count[3] == 1
-    assert _by_original(rep, sfo.edge_target_count)[3] == 1  # only c->d attains it
+    tc = _by_original(rep, sfo.edge_tc)
+    assert tc[3] == sfo.best_target[3] != tc[4]  # only c->d attains it
     sh = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, get_criterion("sh"))
     assert sh.target_count[3] == fwd.best_count[3] == 2
 
@@ -136,6 +137,7 @@ def test_engine_equals_oracle_on_random_graphs(crit_name):
             got = edge_bc_by_original(rep, bc, back.denom)
             for e in range(g.m):
                 assert got[e] == orc.edge_bc.get((s, e), F(0))
+            check_target_record(rep, s, back, orc)
 
 
 def test_rejects_unsupported_criteria(toy):

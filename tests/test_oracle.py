@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tempobet.costs import CRITERION_NAMES, get_criterion
+from tempobet.costs import CRITERION_NAMES, ConfigError, get_criterion
 from tempobet.graph import StaticDigraph, TemporalEdge, TemporalGraph, underlying_graph
 from tempobet.oracle import (
     OracleCapError,
@@ -74,6 +74,20 @@ def test_enumerated_walks_are_valid_and_distinct():
                         if beta is not None:
                             assert eb.dep <= ea.arr + beta
                         assert ea.dep < eb.dep  # strictness
+
+
+@pytest.mark.parametrize("beta", [-1, 1.5, True, "3"])
+def test_oracle_rejects_bad_beta(toy, beta):
+    with pytest.raises(ConfigError):
+        oracle_betweenness(toy, get_criterion("sh"), beta)
+    with pytest.raises(ConfigError):
+        enumerate_walks(toy, 0, beta)
+
+
+def test_oracle_takes_inf_and_a_criterion_name(toy):
+    want = oracle_node_betweenness(toy, get_criterion("sh"), None)
+    assert oracle_node_betweenness(toy, "sh", "inf") == want
+    assert oracle_betweenness(toy, "sh", "inf").beta is None
 
 
 # Frozen fixture values, derived from the enumerator and re-checked by hand.

@@ -28,7 +28,7 @@ from tempobet.restless import (
     single_source_edge_betweenness,
 )
 
-from conftest import edge_bc_by_original, make_random_graph
+from conftest import check_target_record, edge_bc_by_original, make_random_graph
 
 
 def _by_original(rep, arr):
@@ -269,6 +269,7 @@ def test_engine_equals_oracle_all_criteria(crit_name):
                 got = edge_bc_by_original(rep, bc, back.denom)
                 for e in range(g.m):
                     assert got[e] == orc.edge_bc.get((s, e), F(0))
+                check_target_record(rep, s, back, orc)
 
 
 def test_operation_counters_stay_linear():

@@ -11,7 +11,12 @@ import random
 import pytest
 
 from tempobet.driver import revisit_continuations
-from tempobet.graph import SortedRepresentation, build_sorted_representation, parse_edge_list
+from tempobet.graph import (
+    SortedRepresentation,
+    build_sorted_representation,
+    parse_edge_list,
+    random_temporal_graph,
+)
 from tempobet.oracle import g_loop
 
 from conftest import make_random_graph
@@ -90,6 +95,17 @@ def test_matches_reference_on_loop_and_ladder(beta):
     for g in (g_loop(), parse_edge_list(small_ladder())):
         rep = build_sorted_representation(g)
         assert revisit_continuations(rep, beta) == reference_revisit_continuations(rep, beta)
+
+
+def test_matches_reference_on_mid_size_graph():
+    """Spans that cover many positions, so windows slide far and rebuild."""
+    rep = build_sorted_representation(random_temporal_graph(40, 800, 100, 3))
+    nonzero = 0
+    for beta in BETAS:
+        got = revisit_continuations(rep, beta)
+        assert got == reference_revisit_continuations(rep, beta), beta
+        nonzero += sum(1 for x in got if x)
+    assert nonzero
 
 
 def test_ladder_back_edges_give_revisits():
