@@ -59,7 +59,7 @@ def _format_value(v, mode: str) -> str:
 
 
 def _write_scores(path: str | None, rows: list[tuple[str, object]], mode: str) -> None:
-    ordered = sorted(rows, key=lambda kv: (-_sort_key(kv[1]), kv[0]))
+    ordered = sorted(rows, key=lambda kv: (-kv[1], kv[0]))
     lines = ["node,betweenness"]
     lines += [f"{label},{_format_value(val, mode)}" for label, val in ordered]
     text = "\n".join(lines) + "\n"
@@ -68,10 +68,6 @@ def _write_scores(path: str | None, rows: list[tuple[str, object]], mode: str) -
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _sort_key(v):
-    return Fraction(v) if not isinstance(v, float) else v
 
 
 def _read_scores(path: str) -> dict[str, Fraction]:

@@ -9,15 +9,16 @@ share needs exact revisit counts (see revisit_continuations).
 
 Per source, the engines return int numerators over one denominator,
 which their backward passes also sum per head node (``back.node_num``).
-Sources are cut into fixed blocks of ascending sources; per block, each
-node's numerators are summed as ints over the lcm D of the block's
-denominators.  Node totals are ints over a running lcm of the blocks'
-D, rescaled only when a D does not divide it, and become one Fraction
-per node at the end.  The sorted representation and the revisit table
-are built once per run; blocks can run in parallel workers that receive
-them, and block sums are added in block order, so results are
-independent of the worker count.  Fast mode is the nearest
-float of each node's exact total.
+One rule merges exact shares (_add_scaled): int numerators over d are
+added into int totals over a running lcm, and only when d does not
+divide the lcm are the lcm and the totals multiplied up first.  Sources
+are cut into fixed blocks of ascending sources; a block merges its
+sources' node sums by that rule, so its D is the lcm of their
+denominators, and the run merges the block sums by the same rule, then
+makes one Fraction per node at the end.  The sorted representation and the revisit table are built
+once per run; blocks can run in parallel workers that receive them, and
+block sums are added in block order, so results are independent of the
+worker count.  Fast mode is the nearest float of each node's exact total.
 """
 from __future__ import annotations
 
@@ -88,13 +89,12 @@ def _check_sources(graph: TemporalGraph, sources: Sequence[int] | None) -> list[
 
 
 def _pick_engine(criterion: Criterion, beta: int | None, engine: str) -> str:
+    lean = beta is None and criterion.name in nonrestless.CRITERIA
     if engine == "auto":
-        if beta is None and criterion.name in ("sh", "sfo"):
-            return "nonrestless"
-        return "restless"
+        return "nonrestless" if lean else "restless"
     if engine not in ("nonrestless", "restless"):
         raise ConfigError(f"unknown engine {engine!r}; expected auto, nonrestless or restless")
-    if engine == "nonrestless" and (beta is not None or criterion.name not in ("sh", "sfo")):
+    if engine == "nonrestless" and not lean:
         raise ConfigError("nonrestless engine requires beta=inf and sh/sfo")
     return engine
 
@@ -200,11 +200,27 @@ def revisit_continuations(rep: SortedRepresentation, beta: int | None) -> list[i
     return k_table
 
 
-#: Sources per unit of work.  A block's shares are summed as ints over
-#: one common denominator, so the parent adds one int per touched node
-#: and block; the size is fixed so that the blocks, and with them the
-#: results, do not depend on the worker count.
+#: Sources per unit of work.  A block's shares are merged by _add_scaled
+#: into ints over one common denominator, so the parent adds one int per
+#: touched node and block; the size is fixed so that the blocks, and with
+#: them the results, do not depend on the worker count.
 BLOCK = 16
+
+
+def _add_scaled(total: list[int], lcm: int, d: int, items) -> int:
+    """Add the numerators over ``d`` of the (node, N) ``items`` into
+    ``total``, held over ``lcm``, and return the lcm it is now held
+    over.  When d does not divide lcm, ``total`` is first rescaled in
+    place."""
+    up = d // math.gcd(lcm, d)  # 1 when d divides lcm
+    if up > 1:
+        total[:] = [x * up for x in total]
+        lcm *= up
+    scale = lcm // d
+    for u, x in items:
+        if x:
+            total[u] += x * scale
+    return lcm
 
 
 def _block_sums(
@@ -216,12 +232,13 @@ def _block_sums(
     block: list[int],
 ) -> tuple[int, list[tuple[int, int]]]:
     """These sources' summed share of the betweenness of each node they
-    touch, as (D, [(node, N)]): the share is N / D, where D is the lcm
-    of the sources' denominators.  It starts from backward's in-edge sums
-    ``back.node_num``.  ``revisit`` holds the non-zero (position, count)
-    entries of the la revisit table."""
+    touch, as (D, [(node, N)]): the share is N / D.  Each source's
+    in-edge sums ``back.node_num``, less its node-as-target shares, are
+    merged by _add_scaled, so D is the lcm of the sources' denominators.
+    ``revisit`` holds the non-zero (position, count) entries of the la
+    revisit table."""
     heads = rep.heads
-    parts = []
+    total, lcm = [0] * rep.graph.n, 1
     for source in block:
         _, back = single_source_edge_betweenness(rep, source, crit, beta, engine)
         denom, num = back.denom, back.node_num
@@ -236,14 +253,7 @@ def _block_sums(
             if u != source and edge_count[k] and edge_tc[k] == best_target[u]:
                 num[u] -= edge_count[k] * cont * (denom // target_count[u])
         num[source] = 0
-        parts.append((denom, num))
-    lcm = math.lcm(*(denom for denom, _ in parts))
-    total = [0] * rep.graph.n
-    for denom, num in parts:
-        scale = lcm // denom
-        for u, x in enumerate(num):
-            if x:
-                total[u] += x * scale
+        lcm = _add_scaled(total, lcm, denom, enumerate(num))
     return lcm, [(u, x) for u, x in enumerate(total) if x]
 
 
@@ -311,12 +321,7 @@ def node_betweenness(
     nums, lcm = [0] * graph.n, 1
     config = (rep, crit, beta, engine, revisit)
     for d, sums in _block_results(config, blocks, workers):
-        up = d // math.gcd(lcm, d)  # 1 when d divides lcm
-        if up > 1:
-            nums, lcm = [x * up for x in nums], lcm * up
-        scale = lcm // d
-        for u, x in sums:
-            nums[u] += x * scale
+        lcm = _add_scaled(nums, lcm, d, sums)
     values = [Fraction(x, lcm) for x in nums]
     if mode == "fast":
         values = [float(v) for v in values]

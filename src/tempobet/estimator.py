@@ -31,27 +31,7 @@ def as_temporal_graph(X, undirected: bool = False) -> TemporalGraph:
     raise ConfigError(f"cannot interpret {type(X).__name__} as a temporal graph")
 
 
-class _ParamsMixin:
-    """get_params/set_params over the constructor signature, sklearn-style."""
-
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [p for p in sig.parameters if p != "self"]
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params):
-        valid = set(self._param_names())
-        for key, value in params.items():
-            if key not in valid:
-                raise ConfigError(f"invalid parameter {key!r} for {type(self).__name__}")
-            setattr(self, key, value)
-        return self
-
-
-class TemporalBetweenness(_ParamsMixin):
+class TemporalBetweenness:
     """Compute per-node temporal betweenness as a fit-style estimator.
 
     Parameters mirror the driver: optimality criterion token, waiting
@@ -77,6 +57,23 @@ class TemporalBetweenness(_ParamsMixin):
         self.mode = mode
         self.workers = workers
         self.undirected = undirected
+
+    # get_params/set_params over the constructor signature, sklearn-style
+    @classmethod
+    def _param_names(cls) -> list[str]:
+        sig = inspect.signature(cls.__init__)
+        return [p for p in sig.parameters if p != "self"]
+
+    def get_params(self, deep: bool = True) -> dict:
+        return {name: getattr(self, name) for name in self._param_names()}
+
+    def set_params(self, **params):
+        valid = set(self._param_names())
+        for key, value in params.items():
+            if key not in valid:
+                raise ConfigError(f"invalid parameter {key!r} for {type(self).__name__}")
+            setattr(self, key, value)
+        return self
 
     def fit(self, X, y=None) -> "TemporalBetweenness":
         graph = as_temporal_graph(X, undirected=self.undirected)

@@ -4,7 +4,9 @@ All three metrics take score dicts over the same label set.  Scores are
 compared after rounding to 12 decimal digits so that float results from
 fast mode rank the same way as their exact counterparts.
 
-kendall_tau          -- tie-corrected (tau-b) Kendall correlation.
+kendall_tau          -- tie-corrected (tau-b) Kendall correlation, the
+                        unit-weight case of weighted_kendall_tau's pair
+                        loop.
 weighted_kendall_tau -- Kendall-style correlation where a discordant
                         pair of items costs the sum of their hyperbolic
                         rank weights 1/(rank+1); ranks are taken in both
@@ -52,30 +54,30 @@ def _ranks(scores: Mapping[str, object]) -> dict[str, int]:
     return {lab: r for r, lab in enumerate(order)}
 
 
+def _tau(a: Mapping[str, object], b: Mapping[str, object], weight, name: str) -> float:
+    """sum(w*da*db) / sqrt(sum(w*da*da) * sum(w*db*db)) over label pairs,
+    with da, db the pair's order signs in a and b (canonical scores) and
+    w the sum of its labels' ``weight``."""
+    rows = [(a[lab], b[lab], weight[lab]) for lab in sorted(a)]
+    num = norm_a = norm_b = 0
+    for i, (xa, xb, wi) in enumerate(rows, start=1):
+        for ya, yb, wj in rows[i:]:
+            w = wi + wj
+            da = _cmp(xa, ya)
+            db = _cmp(xb, yb)
+            num += w * da * db
+            norm_a += w * da * da
+            norm_b += w * db * db
+    denom = math.sqrt(norm_a * norm_b)
+    if denom == 0:
+        raise RankingError(f"{name} undefined for a constant ranking")
+    return num / denom
+
+
 def kendall_tau(a: Mapping[str, object], b: Mapping[str, object]) -> float:
     """Tau-b over all label pairs; errors if either ranking is constant."""
     labels = _common_labels(a, b)
-    sa, sb = _canonical(a), _canonical(b)
-    concord = discord = ties_a = ties_b = 0
-    n = len(labels)
-    for i in range(n):
-        for j in range(i + 1, n):
-            da = _cmp(sa[labels[i]], sa[labels[j]])
-            db = _cmp(sb[labels[i]], sb[labels[j]])
-            if da == 0 and db == 0:
-                continue
-            if da == 0:
-                ties_a += 1
-            elif db == 0:
-                ties_b += 1
-            elif da == db:
-                concord += 1
-            else:
-                discord += 1
-    denom = math.sqrt((concord + discord + ties_a) * (concord + discord + ties_b))
-    if denom == 0:
-        raise RankingError("kendall tau undefined for a constant ranking")
-    return (concord - discord) / denom
+    return _tau(_canonical(a), _canonical(b), dict.fromkeys(labels, 1), "kendall tau")
 
 
 def _cmp(x, y) -> int:
@@ -94,20 +96,7 @@ def weighted_kendall_tau(a: Mapping[str, object], b: Mapping[str, object]) -> fl
     weight = {
         lab: 0.5 * (1.0 / (ra[lab] + 1) + 1.0 / (rb[lab] + 1)) for lab in labels
     }
-    num = norm_a = norm_b = 0.0
-    n = len(labels)
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = weight[labels[i]] + weight[labels[j]]
-            da = _cmp(sa[labels[i]], sa[labels[j]])
-            db = _cmp(sb[labels[i]], sb[labels[j]])
-            num += w * da * db
-            norm_a += w * da * da
-            norm_b += w * db * db
-    denom = math.sqrt(norm_a * norm_b)
-    if denom == 0:
-        raise RankingError("weighted kendall tau undefined for a constant ranking")
-    return num / denom
+    return _tau(sa, sb, weight, "weighted kendall tau")
 
 
 def top_k(scores: Mapping[str, object], k: int) -> list[str]:
@@ -116,9 +105,7 @@ def top_k(scores: Mapping[str, object], k: int) -> list[str]:
         raise RankingError(f"k={k} exceeds label count {len(scores)}")
     if k < 0:
         raise RankingError("k must be non-negative")
-    sc = _canonical(scores)
-    order = sorted(sc, key=lambda lab: (-float(sc[lab]), lab))
-    return order[:k]
+    return list(_ranks(_canonical(scores)))[:k]
 
 
 def top_k_intersection(

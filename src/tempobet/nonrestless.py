@@ -32,6 +32,9 @@ from dataclasses import dataclass
 from .costs import Criterion
 from .graph import SortedRepresentation
 
+#: The criteria this engine runs, at an infinite waiting bound only.
+CRITERIA = ("sh", "sfo")
+
 
 @dataclass
 class ForwardState:
@@ -257,7 +260,7 @@ def single_source_edge_betweenness(
 ) -> tuple[list[int], BackwardState]:
     """The passes for one source; returns (edge score numerators over
     ``back.denom``, counts)."""
-    if criterion.name not in ("sh", "sfo"):
+    if criterion.name not in CRITERIA:
         raise ValueError(
             f"non-restless engine supports sh and sfo, not {criterion.name!r}"
         )

@@ -7,10 +7,13 @@ the original, a bound of at least the graph's time span against no
 bound, fast mode against exact mode, and the engines' shortcuts
 (target optima without the intermediate pass, node sums built in
 backward) against the long way round, several also on small seeded
-graphs.  Two checks are invariants of restless forward instead, which
-its backward relies on: it leaves no quintuple and no cost on an
-unreached edge, and a head's successor windows, in reverse arrival
-order, only move left while their extended cost stays the same.
+graphs.  The node scores of a disjoint union of two graphs, relabelled
+or not, are its parts' scores, which checks the driver's merge of
+per-source and per-block sums.  Two checks are invariants of restless
+forward instead, which its backward relies on: it leaves no quintuple
+and no cost on an unreached edge, and a head's successor windows, in
+reverse arrival order, only move left while their extended cost stays
+the same.
 """
 from __future__ import annotations
 
@@ -225,3 +228,49 @@ def test_bound_at_time_span_small_graphs(crit_name):
         base = node_betweenness(g, crit_name, None).values
         for beta in (_span(g), _span(g) + 5):
             assert node_betweenness(g, crit_name, beta).values == base
+
+
+def _union(g: TemporalGraph, h: TemporalGraph) -> TemporalGraph:
+    """g and h side by side, h's node ids shifted past g's."""
+    shifted = [TemporalEdge(e.tail + g.n, e.head + g.n, e.dep, e.travel) for e in h.edges]
+    return TemporalGraph(g.n + h.n, g.edges + shifted)
+
+
+def _relabelled(g: TemporalGraph, perm: list[int]) -> TemporalGraph:
+    return TemporalGraph(g.n, [TemporalEdge(perm[e.tail], perm[e.head], e.dep, e.travel)
+                               for e in g.edges])
+
+
+def _check_union_and_relabelling(g, h, crit_name, beta, perm, workers=(1,)):
+    """The union's scores are g's then h's, and relabelling the union's
+    nodes by ``perm`` moves each score to its node's new id."""
+    parts = [x for part in (g, h) for x in node_betweenness(part, crit_name, beta).values]
+    union = _union(g, h)
+    relabelled = _relabelled(union, perm)
+    for w in workers:
+        assert node_betweenness(union, crit_name, beta, workers=w).values == parts
+        moved = node_betweenness(relabelled, crit_name, beta, workers=w).values
+        assert [moved[p] for p in perm] == parts
+    return parts
+
+
+@pytest.mark.parametrize("crit_name", CRITERION_NAMES)
+def test_disjoint_union_and_relabelling_small_graphs(crit_name):
+    rng = random.Random(7)
+    graphs = [make_random_graph(rng) for _ in range(20)]
+    for g, h in zip(graphs[::2], graphs[1::2]):
+        perm = rng.sample(range(g.n + h.n), g.n + h.n)
+        for beta in (0, 2, None):
+            _check_union_and_relabelling(g, h, crit_name, beta, perm)
+
+
+@pytest.mark.parametrize("crit_name, beta", [("sh", None), ("la", 2)])
+def test_disjoint_union_and_relabelling_across_blocks(crit_name, beta):
+    """120 sources in 8 blocks, some holding sources of both parts, and
+    after relabelling all of them: the merge of block sums over
+    different denominators must still give each part its own scores."""
+    g = random_temporal_graph(60, 1500, 100, 7)
+    h = random_temporal_graph(60, 1500, 100, 8)
+    perm = random.Random(3).sample(range(120), 120)
+    parts = _check_union_and_relabelling(g, h, crit_name, beta, perm, workers=(1, 2))
+    assert sum(1 for x in parts if x.denominator > 1) > 10

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +99,32 @@ def test_fraction_and_float_scores_mix():
     b = {"x": 0.5, "y": 0.25, "z": 0.0}
     assert kendall_tau(a, b) == 1.0
     assert weighted_kendall_tau(a, b) == 1.0
+
+
+def _tau_b_by_counts(a, b) -> float:
+    """Textbook tau-b: (nc - nd) / sqrt((n0 - n1)(n0 - n2)), where n1 and
+    n2 count the pairs tied in a and in b."""
+    n0 = len(a) * (len(a) - 1) // 2
+    n1, n2 = (sum(t * (t - 1) // 2 for t in Counter(s.values()).values()) for s in (a, b))
+    signs = [(a[x] - a[y]) * (b[x] - b[y]) for x, y in combinations(a, 2)]
+    nc = sum(1 for p in signs if p > 0)
+    nd = sum(1 for p in signs if p < 0)
+    return (nc - nd) / math.sqrt((n0 - n1) * (n0 - n2))
+
+
+def test_kendall_equals_tau_b_counts_with_ties_on_both_sides():
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(3000):
+        n = rng.randint(2, 30)
+        a, b = (_scores([rng.randint(0, 4) for _ in range(n)]) for _ in range(2))
+        if len(set(a.values())) == 1 or len(set(b.values())) == 1:
+            with pytest.raises(RankingError):
+                kendall_tau(a, b)
+            continue
+        assert kendall_tau(a, b) == _tau_b_by_counts(a, b), (a, b)
+        checked += 1
+    assert checked > 2500
 
 
 score_vectors = st.lists(
