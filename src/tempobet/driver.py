@@ -15,17 +15,17 @@ divide the lcm are the lcm and the totals multiplied up first.  Sources
 are cut into fixed blocks of ascending sources; a block merges its
 sources' node sums by that rule, so its D is the lcm of their
 denominators, and the run merges the block sums by the same rule, then
-makes one Fraction per node at the end.  The sorted representation and the revisit table are built
-once per run; blocks can run in parallel workers that receive them, and
-block sums are added in block order, so results are independent of the
-worker count.  Fast mode is the nearest float of each node's exact total.
+makes one Fraction per node at the end.  The sorted representation, its
+windows and the revisit table are built once per run; blocks can run in
+parallel workers that receive them, and block sums are added in block
+order, so results are independent of the worker count.  Fast mode is
+the nearest float of each node's exact total.
 """
 from __future__ import annotations
 
 import concurrent.futures
 import functools
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -136,8 +136,8 @@ def revisit_continuations(rep: SortedRepresentation, beta: int | None) -> list[i
 
     Counts are computed per head node u, in reverse arrival order, from
     each edge's continuation window: the positions of its head's
-    by-departure list that it can extend, found once per call by
-    bisection.  A continuation of an in-edge of u departs no earlier
+    by-departure list that it can extend, read from the run's table
+    (``rep.windows``).  A continuation of an in-edge of u departs no earlier
     than that edge arrives, so it arrives strictly after u's first
     in-edge, and it ends with an in-edge of u: only the arrival
     positions from u's first to u's last in-edge take part, and a head
@@ -150,11 +150,8 @@ def revisit_continuations(rep: SortedRepresentation, beta: int | None) -> list[i
     receive edges throughout the time span it is still O(M) per head.
     """
     m, n = rep.m, rep.graph.n
-    arrs, tails, heads = rep.arrs, rep.tails, rep.heads
-    e_dep_node, dep_times = rep.e_dep_node, rep.dep_times
-    wait = math.inf if beta is None else beta
-    win_lo = [bisect_left(dep_times[v], t) for v, t in zip(heads, arrs)]
-    win_hi = [bisect_right(dep_times[v], t + wait) for v, t in zip(heads, arrs)]
+    tails, heads, e_dep_node = rep.tails, rep.heads, rep.e_dep_node
+    win_lo, win_hi = rep.windows(beta)
     first = [m] * n
     last = [-1] * n
     for k, v in enumerate(heads):
@@ -234,26 +231,26 @@ def _block_sums(
     """These sources' summed share of the betweenness of each node they
     touch, as (D, [(node, N)]): the share is N / D.  Each source's
     in-edge sums ``back.node_num``, less its node-as-target shares, are
-    merged by _add_scaled, so D is the lcm of the sources' denominators.
+    merged by _add_scaled over the nodes it reaches (``back.touched``),
+    so D is the lcm of the sources' denominators.
     ``revisit`` holds the non-zero (position, count) entries of the la
     revisit table."""
     heads = rep.heads
     total, lcm = [0] * rep.graph.n, 1
     for source in block:
         _, back = single_source_edge_betweenness(rep, source, crit, beta, engine)
-        denom, num = back.denom, back.node_num
+        denom, num, touched = back.denom, back.node_num, back.touched
         best_target, target_count = back.best_target, back.target_count
         edge_tc, edge_count = back.edge_tc, back.edge_count
-        for u, c in enumerate(target_count):
-            if c:
-                num[u] -= denom
+        for u in touched:
+            num[u] -= denom
         for k, cont in revisit:
             u = heads[k]
             # an unreached edge and an unreached node both read None
             if u != source and edge_count[k] and edge_tc[k] == best_target[u]:
                 num[u] -= edge_count[k] * cont * (denom // target_count[u])
         num[source] = 0
-        lcm = _add_scaled(total, lcm, denom, enumerate(num))
+        lcm = _add_scaled(total, lcm, denom, [(u, num[u]) for u in touched])
     return lcm, [(u, x) for u, x in enumerate(total) if x]
 
 
@@ -312,6 +309,7 @@ def node_betweenness(
         raise ConfigError(f"a graph of {graph.n} nodes needs {graph.n} distinct labels")
 
     rep = build_sorted_representation(graph)
+    rep.windows(beta)  # built before any worker starts, so every worker receives it
     revisit = []
     if crit.name == "la":
         table = revisit_continuations(rep, beta)

@@ -12,7 +12,9 @@ index lists identify an edge by its position in the by-arrival order.
 """
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import TextIO
 
@@ -109,10 +111,25 @@ class SortedRepresentation:
     tails: list[int]
     heads: list[int]
     arrs: list[int]
+    _windows: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def m(self) -> int:
         return len(self.e_arr)
+
+    def windows(self, beta: int | None) -> tuple[list[int], list[int]]:
+        """(win_lo, win_hi): the edge at arrival position k continues into
+        positions win_lo[k]..win_hi[k] - 1 of its head's by-departure list,
+        departing in [arr, arr + beta] (unbounded for None); built once per beta."""
+        table = self._windows.get(beta)
+        if table is None:
+            wait = math.inf if beta is None else beta
+            dep_times, heads, arrs = self.dep_times, self.heads, self.arrs
+            table = self._windows[beta] = (
+                [bisect_left(dep_times[v], t) for v, t in zip(heads, arrs)],
+                [bisect_right(dep_times[v], t + wait) for v, t in zip(heads, arrs)],
+            )
+        return table
 
 
 def parse_edge_list(stream: TextIO | str, undirected: bool = False) -> TemporalGraph:

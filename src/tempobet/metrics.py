@@ -31,10 +31,9 @@ def _canonical(scores: Mapping[str, object]) -> dict[str, object]:
     # 12-digit rounding keeps Fraction/float runs rank-identical
     out = {}
     for label, v in scores.items():
-        if isinstance(v, Fraction):
-            out[label] = round(v, 12)
-        else:
-            out[label] = round(float(v), 12)
+        out[label] = round(v if isinstance(v, Fraction) else float(v), 12)
+        if out[label] != out[label]:  # NaN has no rank
+            raise RankingError(f"score of {label!r} is NaN")
     return out
 
 
@@ -57,14 +56,16 @@ def _ranks(scores: Mapping[str, object]) -> dict[str, int]:
 def _tau(a: Mapping[str, object], b: Mapping[str, object], weight, name: str) -> float:
     """sum(w*da*db) / sqrt(sum(w*da*da) * sum(w*db*db)) over label pairs,
     with da, db the pair's order signs in a and b (canonical scores) and
-    w the sum of its labels' ``weight``."""
-    rows = [(a[lab], b[lab], weight[lab]) for lab in sorted(a)]
+    w the sum of its labels' ``weight``.  Scores are replaced first by
+    their dense int ranks, taken from the exact values: the signs stay."""
+    ra, rb = ({v: r for r, v in enumerate(sorted(set(s.values())))} for s in (a, b))
+    rows = [(ra[a[lab]], rb[b[lab]], weight[lab]) for lab in sorted(a)]
     num = norm_a = norm_b = 0
     for i, (xa, xb, wi) in enumerate(rows, start=1):
         for ya, yb, wj in rows[i:]:
             w = wi + wj
-            da = _cmp(xa, ya)
-            db = _cmp(xb, yb)
+            da = (xa > ya) - (xa < ya)
+            db = (xb > yb) - (xb < yb)
             num += w * da * db
             norm_a += w * da * da
             norm_b += w * db * db
@@ -78,14 +79,6 @@ def kendall_tau(a: Mapping[str, object], b: Mapping[str, object]) -> float:
     """Tau-b over all label pairs; errors if either ranking is constant."""
     labels = _common_labels(a, b)
     return _tau(_canonical(a), _canonical(b), dict.fromkeys(labels, 1), "kendall tau")
-
-
-def _cmp(x, y) -> int:
-    if x < y:
-        return -1
-    if x > y:
-        return 1
-    return 0
 
 
 def weighted_kendall_tau(a: Mapping[str, object], b: Mapping[str, object]) -> float:

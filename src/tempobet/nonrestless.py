@@ -26,7 +26,6 @@ numerators over L.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .costs import Criterion
@@ -46,6 +45,7 @@ class ForwardState:
     window start is the first position in the head's by-departure list
     that can extend such a walk.  No other edge has successors, nor (the
     head's optimum only falls) ends a target-optimal walk under sh or sfo.
+    ``touched`` lists the nodes with a walk, in first-walk order.
     """
 
     best_cost: list[int | None]
@@ -53,6 +53,7 @@ class ForwardState:
     edge_cost: list[int | None]
     edge_count: list[int]
     live: list[tuple[int, int]]
+    touched: list[int]
     start: int  # no position below it is reached
 
 
@@ -64,14 +65,16 @@ class BackwardState:
     an edge with a count ends that many walks to its head, and they are
     target-optimal exactly when its target value equals the head's
     ``best_target``.  Lean sh runs pass forward's hop costs and optima,
-    which are their target values.  ``node_num[v]`` (set by backward)
-    sums v's in-edge scores times the int ``denom``.
+    which are their target values.  ``touched`` lists, once each, the
+    nodes with a target count.  ``node_num[v]`` (set by backward) sums
+    v's in-edge scores times the int ``denom``.
     """
 
     best_target: list[object]
     target_count: list[int]
     edge_tc: list[object]
     edge_count: list[int]
+    touched: list[int]
     node_num: list[int]
     denom: int = 1
 
@@ -87,6 +90,9 @@ def forward_phase(rep: SortedRepresentation, source: int) -> ForwardState:
     walk to its head, out-edges departing before arr(e) are finalised and
     the node optimum absorbs e's walks.  The source's out-edges start
     finalised as single-edge walks: no walk back through the source beats them.
+    Head-side window starts come from the run's table (``rep.windows``).
+    Only the source's frontier, set past all its out-edges, can lie beyond
+    one; the start is clamped to it so backward skips those edges.
     """
     n = rep.graph.n
     m = rep.m
@@ -96,9 +102,11 @@ def forward_phase(rep: SortedRepresentation, source: int) -> ForwardState:
     edge_cost: list[int | None] = [None] * m
     edge_count = [0] * m
     live: list[tuple[int, int]] = []
+    touched: list[int] = []
 
-    e_dep_node, dep_times, e_arr_dep = rep.e_dep_node, rep.dep_times, rep.e_arr_dep
-    tails, heads, arrs = rep.tails, rep.heads, rep.arrs
+    e_dep_node, e_arr_dep = rep.e_dep_node, rep.e_arr_dep
+    tails, heads = rep.tails, rep.heads
+    win_lo = rep.windows(None)[0]
     for f in e_dep_node[source]:
         edge_cost[f] = edge_count[f] = 1
     frontier[source] = len(e_dep_node[source])
@@ -130,7 +138,7 @@ def forward_phase(rep: SortedRepresentation, source: int) -> ForwardState:
         cv = best_cost[v]
         if cv is None or ck <= cv:
             a = frontier[v]
-            b = bisect_left(dep_times[v], arrs[k], a)
+            b = win_lo[k]
             if b > a:
                 sv = best_count[v]
                 if sv:
@@ -139,14 +147,18 @@ def forward_phase(rep: SortedRepresentation, source: int) -> ForwardState:
                         edge_cost[f] = cv1
                         edge_count[f] = sv
                 frontier[v] = b
+            else:
+                b = a
             live.append((k, b))
             if cv is None or ck < cv:
+                if cv is None:
+                    touched.append(v)
                 best_cost[v] = ck
                 best_count[v] = cnt
             else:
                 best_count[v] += cnt
 
-    return ForwardState(best_cost, best_count, edge_cost, edge_count, live, start)
+    return ForwardState(best_cost, best_count, edge_cost, edge_count, live, touched, start)
 
 
 def intermediate_phase(
@@ -182,19 +194,24 @@ def intermediate_phase(
         v = heads[k]
         if edge_tc[k] == best_target[v]:  # an unreached edge adds count 0
             target_count[v] += edge_count[k]
+    touched = [v for v, c in enumerate(target_count) if c]
 
-    return BackwardState(best_target, target_count, edge_tc, edge_count, [])
+    return BackwardState(best_target, target_count, edge_tc, edge_count, touched, [])
 
 
 def terminal_shares(back: BackwardState, source: int) -> list[int]:
     """Set ``back.denom`` to L, the lcm of the target counts of every
     node but ``source``, and return L // target_count[v] per node (0 for
     the source and unreached nodes): the dependency, times L, of an edge
-    ending a target-optimal walk to v."""
+    ending a target-optimal walk to v.  Only the nodes in
+    ``back.touched`` have a target count, so only they are visited."""
     counts = back.target_count
-    denom = math.lcm(*{c for v, c in enumerate(counts) if c and v != source})
-    back.denom = denom
-    return [denom // c if c and v != source else 0 for v, c in enumerate(counts)]
+    reached = [v for v in back.touched if v != source]
+    back.denom = denom = math.lcm(*{counts[v] for v in reached})
+    share = [0] * len(counts)
+    for v in reached:
+        share[v] = denom // counts[v]
+    return share
 
 
 def backward_phase(
@@ -266,7 +283,8 @@ def single_source_edge_betweenness(
         )
     fwd = forward_phase(rep, source)
     if criterion.name == "sh":
-        back = BackwardState(fwd.best_cost, fwd.best_count, fwd.edge_cost, fwd.edge_count, [])
+        back = BackwardState(fwd.best_cost, fwd.best_count, fwd.edge_cost, fwd.edge_count,
+                             fwd.touched, [])
     else:
         back = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, criterion, fwd.start)
     return backward_phase(rep, source, fwd, back), back

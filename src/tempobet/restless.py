@@ -40,17 +40,18 @@ edge's own position, is done inline.
 Every pass starts at the source's earliest-arriving out-edge, as every
 reached edge arrives no earlier.  The edges skipped would only move
 tail-side frontiers past positions that depart before every later
-arrival, and the bisect that finds a window start skips those positions
-wherever the frontier stands.
+arrival, and a window start read from the run's table (``rep.windows``)
+skips those positions wherever the frontier stands.  It needs no clamp:
+no frontier passes a position that departs at or after a later arrival.
+Where ``extend`` or ``tc`` returns the cost (``_same``, ``_folded``),
+both passes read the cost instead of calling it.
 """
 from __future__ import annotations
 
-import math
-from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 
-from .costs import Criterion
+from .costs import Criterion, _folded, _same
 from .graph import SortedRepresentation
 # unused intermediate_phase stays importable: perfbench's tracer patches it here by name
 from .nonrestless import BackwardState, intermediate_phase, terminal_shares  # noqa: F401
@@ -86,6 +87,7 @@ class RestlessScan:
     best_target: list[object]  # per node, over its reached in-edges
     target_count: list[int]  # walks ending at best_target
     edge_tc: list  # per reached edge, the target value of its walks
+    touched: list[int]  # nodes with a reached in-edge, in first-walk order
     start: int = 0
     stats: dict[str, int] = field(default_factory=dict)
 
@@ -114,6 +116,7 @@ def new_scan(rep: SortedRepresentation) -> RestlessScan:
         best_target=[None] * rep.graph.n,
         target_count=[0] * rep.graph.n,
         edge_tc=[None] * m,
+        touched=[],
         stats={"quintuples": 0, "finalised": 0, "pred_consumed": 0, "window_ops": 0},
     )
 
@@ -163,16 +166,18 @@ def restless_forward(
     m = rep.m
     scan = new_scan(rep)
     gamma, extend, tc = criterion.gamma, criterion.extend, criterion.tc
+    same, folded = extend is _same, tc is _folded
     edge_cost, edge_count = scan.edge_cost, scan.edge_count
     succ_lo, succ_hi = scan.succ_lo, scan.succ_hi
     intervals, frontier = scan.intervals, scan.frontier
     best_target, target_count, edge_tc = scan.best_target, scan.target_count, scan.edge_tc
+    touched = scan.touched
     finalised = consumed = 0
 
     e_dep_node, dep_times = rep.e_dep_node, rep.dep_times
     e_arr_dep = rep.e_arr_dep
     tails, heads, arrs = rep.tails, rep.heads, rep.arrs
-    wait = math.inf if beta is None else beta
+    win_lo, win_hi = rep.windows(beta)
     scan.start = min(e_dep_node[source], default=m)
 
     # without a quintuple, finalising would only move the frontier
@@ -182,7 +187,7 @@ def restless_forward(
         if i >= frontier[u]:
             if intervals[u]:
                 q = intervals[u][0]
-                if i == frontier[u] and q.lo == i:  # finalise_up_to(scan, u, i), inline
+                if q.lo == i:  # finalise_up_to(scan, u, i), inline
                     edge_cost[k], edge_count[k] = q.cost, q.eta
                     finalised += 1
                     preds = q.preds
@@ -208,24 +213,25 @@ def restless_forward(
             continue
 
         v = heads[k]
-        times = dep_times[v]
-        arr_k = arrs[k]
-        edge_tc[k] = val = tc(arr_k, edge_cost[k])  # k is final: fold into v's optimum
+        c = edge_cost[k]
+        edge_tc[k] = val = c if folded else tc(arrs[k], c)  # k is final: fold into v's optimum
         cur = best_target[v]
         if cur is None or val < cur:
+            if cur is None:
+                touched.append(v)
             best_target[v], target_count[v] = val, cnt
         elif val == cur:
             target_count[v] += cnt
 
-        # Every position below frontier[v] departs before arr_k: a
+        # Every position below frontier[v] departs before arrs[k]: a
         # tail-side step stops at an out-edge that departs before it
         # arrives, and a head-side step stops at an earlier arrival.
-        ws = bisect_left(times, arr_k, frontier[v])
+        ws = win_lo[k]
         if ws > frontier[v]:
             if intervals[v]:
                 finalise_up_to(scan, v, ws - 1)
             frontier[v] = ws
-        we = bisect_right(times, arr_k + wait, ws) - 1
+        we = win_hi[k] - 1
         if ws > we:
             continue  # backward reads (0, -1) as an empty window
 
@@ -234,7 +240,7 @@ def restless_forward(
         # strictly isotone.  ws is now v's frontier, so fresh coverage
         # reopens no position a tail-side step of v already finalised.
         ivs = intervals[v]
-        ck = extend(edge_cost[k])
+        ck = c if same else extend(c)
         new_lo = ivs[-1].hi + 1 if ivs else ws
         while ivs and ck < ivs[-1].cost:
             new_lo = ivs[-1].lo
@@ -277,6 +283,7 @@ def restless_backward(
     """
     n, m = rep.graph.n, rep.m
     extend = criterion.extend
+    same = extend is _same
     heads, e_dep_node = rep.heads, rep.e_dep_node
 
     edge_cost, edge_count = fwd.edge_cost, fwd.edge_count
@@ -302,7 +309,7 @@ def restless_backward(
         lo, hi = succ_lo[k], succ_hi[k]
         if lo <= hi:
             lst = e_dep_node[v]
-            want = extend(edge_cost[k])
+            want = edge_cost[k] if same else extend(edge_cost[k])
             d = delta[v]
             if cur_want[v] != want or hi < cur_lo[v]:
                 d = 0
@@ -340,5 +347,6 @@ def single_source_edge_betweenness(
     """All three phases for one source under any criterion and bound;
     returns (edge score numerators over ``back.denom``, counts)."""
     fwd = restless_forward(rep, source, criterion, beta, debug_invariants)
-    back = BackwardState(fwd.best_target, fwd.target_count, fwd.edge_tc, fwd.edge_count, [])
+    back = BackwardState(fwd.best_target, fwd.target_count, fwd.edge_tc, fwd.edge_count,
+                         fwd.touched, [])
     return restless_backward(rep, source, criterion, fwd, back), back

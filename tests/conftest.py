@@ -40,10 +40,17 @@ def edge_bc_by_original(rep, edge_bc, denom) -> dict[int, Fraction]:
     return {rep.e_arr[k]: Fraction(edge_bc[k], denom) for k in range(rep.m)}
 
 
+def check_touched(state) -> None:
+    """``state.touched`` names each node with a target count once."""
+    assert sorted(state.touched) == [v for v, c in enumerate(state.target_count) if c]
+
+
 def check_target_record(rep, source, back, orc) -> None:
     """Assert that one source's target record equals the oracle's: per
     edge not into the source, its target-optimal walk count, and per
-    node but the source, its target count."""
+    node but the source, its target count; and that ``back.touched``
+    lists the nodes with a target count."""
+    check_touched(back)
     for k in range(rep.m):
         v = rep.heads[k]
         if v != source:

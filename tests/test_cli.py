@@ -234,7 +234,9 @@ def test_bench_times_revisit_table_for_la(capsys, tmp_path, criterion, revisit_l
     assert any(ln.startswith("per_source_mean_seconds ") for ln in lines)
     revisit = [ln for ln in lines if ln.startswith("revisit_seconds ")]
     assert len(revisit) == revisit_lines
-    assert all(float(ln.split()[1]) >= 0 for ln in revisit)
+    windows = [ln for ln in lines if ln.startswith("windows_seconds ")]
+    assert len(windows) == 1
+    assert all(float(ln.split()[1]) >= 0 for ln in revisit + windows)
 
 
 @pytest.mark.parametrize("reps", ["0", "-1"])

@@ -13,6 +13,7 @@ from tempobet.graph import (
     TemporalGraph,
     build_sorted_representation,
     parse_edge_list,
+    random_temporal_graph,
     to_edge_list,
     underlying_graph,
 )
@@ -152,10 +153,25 @@ def test_parallel_identical_edges_allowed():
     assert g.m == 2
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_windows_match_departures_per_edge(seed):
+    """win_lo[k] counts the head's out-edges departing before edge k
+    arrives, win_hi[k] those departing no later than its arrival plus
+    beta; the table is built on first use and then kept."""
+    rep = build_sorted_representation(random_temporal_graph(12, 150, 40, seed))
+    assert rep._windows == {}
+    for beta in (0, 1, 3, None):
+        table = rep.windows(beta)
+        for k, (v, arr) in enumerate(zip(rep.heads, rep.arrs)):
+            deps = rep.dep_times[v]
+            assert table[0][k] == sum(d < arr for d in deps)
+            assert table[1][k] == sum(beta is None or d <= arr + beta for d in deps)
+        assert rep.windows(beta) is table
+    assert list(rep._windows) == [0, 1, 3, None]
+
+
 def test_build_time_scales_near_linearithmically():
     import time
-
-    from tempobet.graph import random_temporal_graph
 
     medians = []
     for m in (60_000, 120_000):

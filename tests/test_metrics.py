@@ -50,6 +50,17 @@ def test_kendall_constant_ranking_is_error():
         kendall_tau({"a": 1, "b": 1}, {"a": 1, "b": 2})
 
 
+@pytest.mark.parametrize("metric", [kendall_tau, weighted_kendall_tau,
+                                    lambda a, b: top_k_intersection(a, b, 2)])
+def test_nan_score_is_error(metric):
+    """A NaN has no rank: every comparison with it is false."""
+    a = _scores([3.0, float("nan"), 2.0, 0.5])
+    b = _scores([1.0, 2.0, 3.0, 4.0])
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(RankingError, match="NaN"):
+            metric(x, y)
+
+
 def test_weighted_identical_and_reversed():
     a = _scores([5, 4, 3, 2, 1])
     assert weighted_kendall_tau(a, a) == 1.0

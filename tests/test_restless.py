@@ -28,7 +28,7 @@ from tempobet.restless import (
     single_source_edge_betweenness,
 )
 
-from conftest import check_target_record, edge_bc_by_original, make_random_graph
+from conftest import check_target_record, check_touched, edge_bc_by_original, make_random_graph
 
 
 def _by_original(rep, arr):
@@ -270,6 +270,22 @@ def test_engine_equals_oracle_all_criteria(crit_name):
                 for e in range(g.m):
                     assert got[e] == orc.edge_bc.get((s, e), F(0))
                 check_target_record(rep, s, back, orc)
+
+
+@pytest.mark.parametrize("crit_name", CRITERION_NAMES)
+def test_touched_of_intermediate_phase(crit_name):
+    """The ``touched`` that intermediate_phase builds from its target
+    counts over restless forward's costs names each reached node once
+    (check_target_record covers the engines' own lists)."""
+    crit = get_criterion(crit_name)
+    rng = random.Random(43)
+    for _ in range(12):
+        g = make_random_graph(rng, n_max=6, m_max=14)
+        rep = build_sorted_representation(g)
+        for beta in (0, 2, None):
+            for s in range(g.n):
+                fwd = restless_forward(rep, s, crit, beta)
+                check_touched(intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, crit))
 
 
 def test_operation_counters_stay_linear():
