@@ -207,10 +207,13 @@ BLOCK = 16
 def _add_scaled(total: list[int], lcm: int, d: int, items) -> int:
     """Add the numerators over ``d`` of the (node, N) ``items`` into
     ``total``, held over ``lcm``, and return the lcm it is now held
-    over.  When d does not divide lcm, ``total`` is first rescaled in
-    place."""
-    up = d // math.gcd(lcm, d)  # 1 when d divides lcm
-    if up > 1:
+    over.  ``lcm`` 0 means nothing was added yet, so the all-zero
+    ``total`` is taken over at d; otherwise, when d does not divide
+    lcm, ``total`` is first rescaled in place."""
+    if not lcm:
+        lcm = d
+    elif lcm % d:
+        up = d // math.gcd(lcm, d)
         total[:] = [x * up for x in total]
         lcm *= up
     scale = lcm // d
@@ -236,7 +239,7 @@ def _block_sums(
     ``revisit`` holds the non-zero (position, count) entries of the la
     revisit table."""
     heads = rep.heads
-    total, lcm = [0] * rep.graph.n, 1
+    total, lcm = [0] * rep.graph.n, 0
     for source in block:
         _, back = single_source_edge_betweenness(rep, source, crit, beta, engine)
         denom, num, touched = back.denom, back.node_num, back.touched
@@ -316,11 +319,11 @@ def node_betweenness(
         revisit = [(k, c) for k, c in enumerate(table) if c]
     src_list.sort()
     blocks = [src_list[i:i + BLOCK] for i in range(0, len(src_list), BLOCK)]
-    nums, lcm = [0] * graph.n, 1
+    nums, lcm = [0] * graph.n, 0
     config = (rep, crit, beta, engine, revisit)
     for d, sums in _block_results(config, blocks, workers):
         lcm = _add_scaled(nums, lcm, d, sums)
-    values = [Fraction(x, lcm) for x in nums]
+    values = [Fraction(x, lcm or 1) for x in nums]  # lcm 0: no source
     if mode == "fast":
         values = [float(v) for v in values]
     return NodeBetweenness(

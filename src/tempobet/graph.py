@@ -112,6 +112,7 @@ class SortedRepresentation:
     heads: list[int]
     arrs: list[int]
     _windows: dict = field(default_factory=dict, repr=False, compare=False)
+    _window_total: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -120,16 +121,22 @@ class SortedRepresentation:
     def windows(self, beta: int | None) -> tuple[list[int], list[int]]:
         """(win_lo, win_hi): the edge at arrival position k continues into
         positions win_lo[k]..win_hi[k] - 1 of its head's by-departure list,
-        departing in [arr, arr + beta] (unbounded for None); built once per beta."""
+        departing in [arr, arr + beta] (unbounded for None); built once per
+        beta, with their total length (``window_total``)."""
         table = self._windows.get(beta)
         if table is None:
             wait = math.inf if beta is None else beta
             dep_times, heads, arrs = self.dep_times, self.heads, self.arrs
-            table = self._windows[beta] = (
-                [bisect_left(dep_times[v], t) for v, t in zip(heads, arrs)],
-                [bisect_right(dep_times[v], t + wait) for v, t in zip(heads, arrs)],
-            )
+            win_lo = [bisect_left(dep_times[v], t) for v, t in zip(heads, arrs)]
+            win_hi = [bisect_right(dep_times[v], t + wait) for v, t in zip(heads, arrs)]
+            self._window_total[beta] = sum(win_hi) - sum(win_lo)
+            table = self._windows[beta] = (win_lo, win_hi)
         return table
+
+    def window_total(self, beta: int | None) -> int:
+        """The positions all of ``windows(beta)`` hold, summed over edges."""
+        self.windows(beta)
+        return self._window_total[beta]
 
 
 def parse_edge_list(stream: TextIO | str, undirected: bool = False) -> TemporalGraph:

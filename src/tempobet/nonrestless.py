@@ -207,7 +207,13 @@ def terminal_shares(back: BackwardState, source: int) -> list[int]:
     ``back.touched`` have a target count, so only they are visited."""
     counts = back.target_count
     reached = [v for v in back.touched if v != source]
-    back.denom = denom = math.lcm(*{counts[v] for v in reached})
+    denom = 1
+    # latest-reached first: where walk counts grow along the scan, as on
+    # a ladder, most earlier counts then divide the running lcm
+    for v in reversed(reached):
+        if denom % counts[v]:
+            denom = math.lcm(denom, counts[v])
+    back.denom = denom
     share = [0] * len(counts)
     for v in reached:
         share[v] = denom // counts[v]

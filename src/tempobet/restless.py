@@ -9,7 +9,7 @@ over the node's by-departure edge list:
     positions lo..hi currently extend optimal incoming walks and so get
     ``cost``, the extension of those walks' cost; ``preds`` are the edges
     ending those walks, in arrival order, each covering a recorded window
-    [succ_lo[p], succ_hi[p]] of positions; ``eta`` is the number of those
+    succ_lo[p]..succ_hi[p] - 1 of positions; ``eta`` is the number of those
     walks not yet consumed by finalisation.
 
 Because a newly scanned edge arrives no earlier than every previous
@@ -45,6 +45,19 @@ skips those positions wherever the frontier stands.  It needs no clamp:
 no frontier passes a position that departs at or after a later arrival.
 Where ``extend`` or ``tc`` returns the cost (``_same``, ``_folded``),
 both passes read the cost instead of calling it.
+
+Short windows skip the quintuples.  When the run's continuation windows
+hold at most ``PUSH_MEAN_WINDOW`` positions on average (decided once per
+run from ``rep.window_total``), forward scans by arrival and pushes each
+reached edge's walks straight into every position of its window: a
+strictly cheaper cost replaces, an equal one adds.  That is exact, as
+every window position departs no earlier than the edge arrives and
+travel is positive, so it is scanned later, and its cost and count are
+complete when the scan reaches it.  Per source this costs
+O(M + sum of windows), at most O(5M) under the threshold, so a run stays
+O(nM); long windows keep the quintuples, which bound it whatever the
+windows hold.  Backward then takes the run's table as its successor
+windows and filters their positions by cost as it does recorded ones.
 """
 from __future__ import annotations
 
@@ -55,6 +68,10 @@ from .costs import Criterion, _folded, _same
 from .graph import SortedRepresentation
 # unused intermediate_phase stays importable: perfbench's tracer patches it here by name
 from .nonrestless import BackwardState, intermediate_phase, terminal_shares  # noqa: F401
+
+#: Forward pushes walks into windows, with no quintuple, when the run's
+#: windows hold at most this many positions per edge on average.
+PUSH_MEAN_WINDOW = 4
 
 
 @dataclass(slots=True)
@@ -75,6 +92,9 @@ class RestlessScan:
     list: positions below the frontier are finalised, positions at or
     above it are covered by the interval quintuples (or by nothing, if
     no walk can reach them).  No position below ``start`` is reached.
+    Edge k's successor window is positions succ_lo[k]..succ_hi[k] - 1 of
+    its head's list.  The push path keeps no quintuple or frontier, and
+    its successor windows are the run's table.
     """
 
     rep: SortedRepresentation
@@ -99,7 +119,7 @@ class RestlessScan:
                 assert self.frontier[v] <= q.lo <= q.hi, (v, q)
                 assert q.lo > prev_hi, "intervals must be disjoint and ordered"
                 assert q.eta == sum(self.edge_count[p] for p in q.preds), (v, q)
-                assert all(self.succ_hi[p] >= q.lo for p in q.preds), (v, q)
+                assert all(self.succ_hi[p] > q.lo for p in q.preds), (v, q)
                 prev_hi = q.hi
 
 
@@ -110,7 +130,7 @@ def new_scan(rep: SortedRepresentation) -> RestlessScan:
         edge_cost=[None] * m,
         edge_count=[0] * m,
         succ_lo=[0] * m,
-        succ_hi=[-1] * m,
+        succ_hi=[0] * m,
         intervals=[deque() for _ in range(rep.graph.n)],
         frontier=[0] * rep.graph.n,
         best_target=[None] * rep.graph.n,
@@ -144,15 +164,21 @@ def finalise_up_to(scan: RestlessScan, v: int, j: int) -> None:
         edge_cost[f], edge_count[f] = q.cost, q.eta
         finalised += 1
         preds = q.preds
-        while preds and succ_hi[preds[0]] == i:  # all reach q.lo
+        q.lo = i = i + 1
+        while preds and succ_hi[preds[0]] == i:  # coverage ends at the frozen position
             q.eta -= edge_count[preds.popleft()]
             consumed += 1
-        q.lo = i + 1
-        if q.lo > q.hi:
+        if i > q.hi:
             ivs.popleft()
     scan.frontier[v] = j + 1
     scan.stats["finalised"] += finalised
     scan.stats["pred_consumed"] += consumed
+
+
+def pushes(rep: SortedRepresentation, beta: int | None) -> bool:
+    """Whether forward takes the push path at this bound: the mean
+    window is at most PUSH_MEAN_WINDOW positions."""
+    return rep.window_total(beta) <= PUSH_MEAN_WINDOW * rep.m
 
 
 def restless_forward(
@@ -162,7 +188,10 @@ def restless_forward(
     beta: int | None,
     debug_invariants: bool = False,
 ) -> RestlessScan:
-    """Per-edge optimal-walk cost and count, and per-node target optima."""
+    """Per-edge optimal-walk cost and count, and per-node target optima;
+    a run whose windows are short takes ``push_forward``."""
+    if pushes(rep, beta):
+        return push_forward(rep, source, criterion, beta)
     m = rep.m
     scan = new_scan(rep)
     gamma, extend, tc = criterion.gamma, criterion.extend, criterion.tc
@@ -191,11 +220,11 @@ def restless_forward(
                     edge_cost[k], edge_count[k] = q.cost, q.eta
                     finalised += 1
                     preds = q.preds
-                    while preds and succ_hi[preds[0]] == i:  # all reach q.lo
+                    q.lo = j = i + 1
+                    while preds and succ_hi[preds[0]] == j:  # coverage ends at i
                         q.eta -= edge_count[preds.popleft()]
                         consumed += 1
-                    q.lo = i + 1
-                    if q.lo > q.hi:  # q.hi bounds every pred's coverage
+                    if j > q.hi:  # q.hi bounds every pred's coverage
                         intervals[u].popleft()
                 else:
                     finalise_up_to(scan, u, i)
@@ -233,7 +262,7 @@ def restless_forward(
             frontier[v] = ws
         we = win_hi[k] - 1
         if ws > we:
-            continue  # backward reads (0, -1) as an empty window
+            continue  # backward reads (0, 0) as an empty window
 
         # Post-trim the whole list lies inside [ws, we]; merge by the cost
         # k's successors get, which orders like k's own as extend is
@@ -250,19 +279,68 @@ def restless_forward(
             q.hi = we
             q.preds.append(k)
             q.eta += cnt
-            succ_lo[k], succ_hi[k] = q.lo, we
+            succ_lo[k], succ_hi[k] = q.lo, we + 1
         elif new_lo <= we:
             ivs.append(Quintuple(new_lo, we, ck, deque([k]), cnt))
             scan.stats["quintuples"] += 1
-            succ_lo[k], succ_hi[k] = new_lo, we
+            succ_lo[k], succ_hi[k] = new_lo, we + 1
         # else k is strictly worse than all live walks and has no
-        # uncovered tail, so it keeps the empty window (0, -1)
+        # uncovered tail, so it keeps the empty window (0, 0)
         if debug_invariants:
             scan.check_invariants()
 
     scan.stats["finalised"] += finalised
     scan.stats["pred_consumed"] += consumed
     return scan
+
+
+def push_forward(rep: SortedRepresentation, source: int, criterion: Criterion,
+                 beta: int | None) -> RestlessScan:
+    """The short-window forward: each reached edge's walks go straight
+    into the positions of its window in the run's table, which are
+    scanned later; the source's one-edge walks are in place first."""
+    n, m = rep.graph.n, rep.m
+    gamma, extend, tc = criterion.gamma, criterion.extend, criterion.tc
+    same, folded = extend is _same, tc is _folded
+    edge_cost: list = [None] * m
+    edge_count = [0] * m
+    best_target: list = [None] * n
+    target_count = [0] * n
+    edge_tc: list = [None] * m
+    touched: list[int] = []
+    e_dep_node, heads, arrs = rep.e_dep_node, rep.heads, rep.arrs
+    win_lo, win_hi = rep.windows(beta)
+
+    for f, t in zip(e_dep_node[source], rep.dep_times[source]):
+        edge_cost[f], edge_count[f] = gamma(t), 1
+    start = min(e_dep_node[source], default=m)
+    for k in range(start, m):
+        cnt = edge_count[k]
+        if not cnt:
+            continue
+        v = heads[k]
+        c = edge_cost[k]
+        edge_tc[k] = val = c if folded else tc(arrs[k], c)
+        cur = best_target[v]
+        if cur is None or val < cur:
+            if cur is None:
+                touched.append(v)
+            best_target[v], target_count[v] = val, cnt
+        elif val == cur:
+            target_count[v] += cnt
+        lo, hi = win_lo[k], win_hi[k]
+        if lo < hi:
+            ck = c if same else extend(c)
+            for f in e_dep_node[v][lo:hi]:
+                cf = edge_cost[f]
+                if cf is None or ck < cf:  # None: no walk yet
+                    edge_cost[f], edge_count[f] = ck, cnt
+                elif ck == cf:
+                    edge_count[f] += cnt
+
+    stats = {"quintuples": 0, "finalised": 0, "pred_consumed": 0, "window_ops": 0}
+    return RestlessScan(rep, edge_cost, edge_count, win_lo, win_hi, [], [], best_target,
+                        target_count, edge_tc, touched, start, stats)
 
 
 def restless_backward(
@@ -297,7 +375,7 @@ def restless_backward(
     back.node_num = node_num = [0] * n
     delta = [0] * n
     cur_lo = [0] * n
-    cur_hi = [-1] * n
+    cur_hi = [0] * n
     cur_want: list = [None] * n  # a reached edge's cost is never None
 
     for k in range(m - 1, fwd.start - 1, -1):
@@ -307,19 +385,19 @@ def restless_backward(
         v = heads[k]
         nk = share[v] if edge_tc[k] == best_target[v] else 0
         lo, hi = succ_lo[k], succ_hi[k]
-        if lo <= hi:
+        if lo < hi:
             lst = e_dep_node[v]
             want = edge_cost[k] if same else extend(edge_cost[k])
             d = delta[v]
-            if cur_want[v] != want or hi < cur_lo[v]:
+            if cur_want[v] != want or hi <= cur_lo[v]:
                 d = 0
-                for f in lst[lo:hi + 1]:
+                for f in lst[lo:hi]:
                     if edge_cost[f] == want:
                         d += dep[f]
-                window_ops += hi - lo + 1
+                window_ops += hi - lo
                 cur_want[v] = want
             elif hi != cur_hi[v] or lo != cur_lo[v]:
-                for f in lst[hi + 1:cur_hi[v] + 1]:
+                for f in lst[hi:cur_hi[v]]:
                     if edge_cost[f] == want:
                         d -= dep[f]
                 for f in lst[lo:cur_lo[v]]:

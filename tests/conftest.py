@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from tempobet import restless
 from tempobet.graph import TemporalEdge, TemporalGraph
 from tempobet.oracle import g_loop, g_toy
+
+#: ``restless.PUSH_MEAN_WINDOW`` values that force each forward path on a
+#: graph with at least one edge.
+RESTLESS_PATHS = {"push": sys.maxsize, "quintuple": -1}
 
 
 @pytest.fixture
@@ -17,6 +23,20 @@ def toy() -> TemporalGraph:
 @pytest.fixture
 def loop() -> TemporalGraph:
     return g_loop()
+
+
+@pytest.fixture
+def quintuple_path(monkeypatch) -> None:
+    """Force the restless forward's quintuple path."""
+    monkeypatch.setattr(restless, "PUSH_MEAN_WINDOW", RESTLESS_PATHS["quintuple"])
+
+
+def restless_paths(monkeypatch):
+    """Force each restless forward path in turn and yield its name; the
+    ``monkeypatch`` that sets the threshold restores it."""
+    for name, limit in RESTLESS_PATHS.items():
+        monkeypatch.setattr(restless, "PUSH_MEAN_WINDOW", limit)
+        yield name
 
 
 def make_random_graph(rng: random.Random, n_max: int = 7, m_max: int = 18,

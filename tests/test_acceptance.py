@@ -3,9 +3,10 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 The corpus sweep (criteria 1, 2, 5) exhaustively cross-checks the fast
-engines against the brute-force enumerator on 200 seeded random graphs,
-for every waiting bound in {0, 1, 2, 5, inf} and all seven criteria,
-demanding exact rational equality edge-wise and node-wise.
+engines, the restless one on both forward paths, against the
+brute-force enumerator on 200 seeded random graphs, for every waiting
+bound in {0, 1, 2, 5, inf} and all seven criteria, demanding exact
+rational equality edge-wise and node-wise.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from tempobet.nonrestless import single_source_edge_betweenness as nonrestless_r
 from tempobet.oracle import g_loop, g_toy, oracle_betweenness
 from tempobet.restless import single_source_edge_betweenness as restless_run
 
-from conftest import edge_bc_by_original, make_random_graph
+from conftest import edge_bc_by_original, make_random_graph, restless_paths
 
 CORPUS_SIZE = 200
 BETAS = (0, 1, 2, 5, None)
@@ -38,7 +39,7 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
-def _check_instance(g: TemporalGraph, failures: dict[str, list]) -> None:
+def _check_instance(g: TemporalGraph, failures: dict[str, list], monkeypatch) -> None:
     rep = build_sorted_representation(g)
     tag = to_edge_list(g)[:60]
     for beta in BETAS:
@@ -46,18 +47,19 @@ def _check_instance(g: TemporalGraph, failures: dict[str, list]) -> None:
         for crit_name in CRITERION_NAMES:
             crit = get_criterion(crit_name)
             orc = oracle_betweenness(g, crit, beta, walks_by_source=walks_cache)
-            for s in range(g.n):
-                edge_bc, back = restless_run(rep, s, crit, beta)
-                got = edge_bc_by_original(rep, edge_bc, back.denom)
-                for e in range(rep.m):
-                    if got[e] != orc.edge_bc.get((s, e), F(0)):
-                        failures["oracle_eq"].append((tag, crit_name, beta, s, e))
-                if beta is None and crit_name in ("sh", "sfo"):
-                    other, other_back = nonrestless_run(rep, s, crit)
-                    if (other, other_back.denom) != (edge_bc, back.denom):
-                        failures["cross_engine"].append((tag, crit_name, s))
-            if node_betweenness(g, crit, beta).values != orc.node_bc:
-                failures["oracle_eq"].append((tag, crit_name, beta, "nodes"))
+            for path in restless_paths(monkeypatch):
+                for s in range(g.n):
+                    edge_bc, back = restless_run(rep, s, crit, beta)
+                    got = edge_bc_by_original(rep, edge_bc, back.denom)
+                    for e in range(rep.m):
+                        if got[e] != orc.edge_bc.get((s, e), F(0)):
+                            failures["oracle_eq"].append((tag, path, crit_name, beta, s, e))
+                    if beta is None and crit_name in ("sh", "sfo"):
+                        other, other_back = nonrestless_run(rep, s, crit)
+                        if (other, other_back.denom) != (edge_bc, back.denom):
+                            failures["cross_engine"].append((tag, path, crit_name, s))
+                if node_betweenness(g, crit, beta).values != orc.node_bc:
+                    failures["oracle_eq"].append((tag, path, crit_name, beta, "nodes"))
             _check_facts(g, crit, beta, orc, walks_cache, failures)
 
 
@@ -141,9 +143,10 @@ def corpus_sweep():
     rng = random.Random(20260808)
     failures: dict[str, list] = {"oracle_eq": [], "cross_engine": [], "facts": []}
     start = time.perf_counter()
-    for _ in range(CORPUS_SIZE):
-        g = make_random_graph(rng, n_max=7, m_max=18, dep_max=12, travel_max=3)
-        _check_instance(g, failures)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for _ in range(CORPUS_SIZE):
+            g = make_random_graph(rng, n_max=7, m_max=18, dep_max=12, travel_max=3)
+            _check_instance(g, failures, monkeypatch)
     failures["elapsed"] = time.perf_counter() - start
     return failures
 

@@ -7,7 +7,13 @@ from fractions import Fraction as F
 import pytest
 
 from tempobet.costs import ConfigError, Criterion, get_criterion
-from tempobet.driver import BLOCK, _block_sums, node_betweenness, single_source_edge_betweenness
+from tempobet.driver import (
+    BLOCK,
+    _add_scaled,
+    _block_sums,
+    node_betweenness,
+    single_source_edge_betweenness,
+)
 from tempobet.estimator import TemporalBetweenness
 from tempobet.graph import (
     TemporalEdge,
@@ -20,9 +26,10 @@ from tempobet.oracle import oracle_betweenness
 from conftest import make_random_graph
 
 
-def test_no_edges_all_zero():
+def test_no_edges_all_zero(toy):
     g = TemporalGraph(4, [])
     assert node_betweenness(g, "sh").values == [F(0)] * 4
+    assert node_betweenness(toy, "sh", sources=[]).values == [F(0)] * 4  # nor sources
 
 
 def test_toy_node_values(toy):
@@ -108,6 +115,16 @@ def test_merge_rescales_running_lcm(many_blocks):
             want[u] += F(x, d)
     assert rescales >= 1
     assert node_betweenness(g, "sh").values == want
+
+
+def test_add_scaled_takes_over_first_denominator():
+    """An lcm of 0 marks totals nothing was added to: the first
+    denominator is taken over as it is, and a later one that does not
+    divide the lcm rescales the totals."""
+    total = [0, 0, 0]
+    assert _add_scaled(total, 0, 6, [(1, 5), (2, 0)]) == 6 and total == [0, 5, 0]
+    assert _add_scaled(total, 6, 3, [(2, 1)]) == 6 and total == [0, 5, 2]
+    assert _add_scaled(total, 6, 4, [(0, 1)]) == 12 and total == [3, 10, 4]
 
 
 def test_fast_mode_close_to_exact():

@@ -10,10 +10,11 @@ backward) against the long way round, several also on small seeded
 graphs.  The node scores of a disjoint union of two graphs, relabelled
 or not, are its parts' scores, which checks the driver's merge of
 per-source and per-block sums.  Two checks are invariants of restless
-forward instead, which its backward relies on: it leaves no quintuple
-and no cost on an unreached edge, and a head's successor windows, in
-reverse arrival order, only move left while their extended cost stays
-the same.
+forward instead, which its backward relies on: its quintuple path
+leaves no quintuple and no cost on an unreached edge, and a head's
+successor windows, in reverse arrival order, only move left while their
+extended cost stays the same.  Backward's node sums are checked on
+both forward paths.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from tempobet.nonrestless import single_source_edge_betweenness as nonrestless_r
 from tempobet.restless import restless_forward
 from tempobet.restless import single_source_edge_betweenness as restless_run
 
-from conftest import make_random_graph
+from conftest import make_random_graph, restless_paths
 
 SOURCES = [0, 7, 42]
 RUNS = [("sh", None), ("sfo", None), ("sfa", 10), ("fa", 4)]
@@ -92,7 +93,7 @@ def test_restless_target_optima_equal_intermediate_phase(graph, crit_name, beta)
 
 @pytest.mark.parametrize("beta", [0, 3, None])
 @pytest.mark.parametrize("crit_name", CRITERION_NAMES)
-def test_restless_forward_leaves_no_quintuple(graph, crit_name, beta):
+def test_restless_forward_leaves_no_quintuple(graph, crit_name, beta, quintuple_path):
     """Every covered position is scanned after its covering edges, and
     its tail-side step freezes it, so no quintuple outlives the scan."""
     crit = get_criterion(crit_name)
@@ -110,11 +111,13 @@ def test_restless_forward_leaves_no_quintuple(graph, crit_name, beta):
 
 @pytest.mark.parametrize("beta", [0, 3, None])
 @pytest.mark.parametrize("crit_name", CRITERION_NAMES)
-def test_restless_windows_only_move_left_within_a_run(graph, crit_name, beta):
+def test_restless_windows_only_move_left_within_a_run(graph, crit_name, beta, quintuple_path):
     """Replays restless_backward's window choice per head, in reverse
     arrival order: a window that overlaps the head's previous one, for
     the same extended cost, moves neither end right, so the running sum
-    slides by dropping its right slice and adding its left one."""
+    slides by dropping its right slice and adding its left one.  The
+    quintuple path's recorded windows are checked; the push path's are
+    the run's table, whose ends only fall with earlier arrivals."""
     crit = get_criterion(crit_name)
     checked = 0
     for g, sources in _graphs_and_sources(graph):
@@ -124,11 +127,11 @@ def test_restless_windows_only_move_left_within_a_run(graph, crit_name, beta):
             last = {}
             for k in range(rep.m - 1, -1, -1):
                 lo, hi = fwd.succ_lo[k], fwd.succ_hi[k]
-                if not fwd.edge_count[k] or lo > hi:
+                if not fwd.edge_count[k] or lo >= hi:
                     continue
                 v = rep.heads[k]
                 want = crit.extend(fwd.edge_cost[k])
-                if v in last and last[v][0] == want and hi >= last[v][1]:
+                if v in last and last[v][0] == want and hi > last[v][1]:
                     assert lo <= last[v][1] and hi <= last[v][2], (s, k)
                     checked += 1
                 last[v] = (want, lo, hi)
@@ -140,15 +143,16 @@ ENGINE_RUNS += [("sh", None, "nonrestless"), ("sfo", None, "nonrestless")]
 
 
 @pytest.mark.parametrize("crit_name, beta, engine", ENGINE_RUNS)
-def test_backward_node_sums_equal_edge_sums_by_head(graph, crit_name, beta, engine):
-    for g, sources in _graphs_and_sources(graph):
-        rep = build_sorted_representation(g)
-        for s in sources:
-            edge_bc, back = single_source_edge_betweenness(rep, s, crit_name, beta, engine)
-            want = [0] * g.n
-            for v, x in zip(rep.heads, edge_bc):
-                want[v] += x
-            assert back.node_num == want
+def test_backward_node_sums_equal_edge_sums_by_head(graph, crit_name, beta, engine, monkeypatch):
+    for _ in restless_paths(monkeypatch) if engine == "restless" else [None]:
+        for g, sources in _graphs_and_sources(graph):
+            rep = build_sorted_representation(g)
+            for s in sources:
+                edge_bc, back = single_source_edge_betweenness(rep, s, crit_name, beta, engine)
+                want = [0] * g.n
+                for v, x in zip(rep.heads, edge_bc):
+                    want[v] += x
+                assert back.node_num == want
 
 
 @pytest.mark.parametrize("crit_name", ["sh", "sfo"])

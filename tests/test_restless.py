@@ -28,7 +28,13 @@ from tempobet.restless import (
     single_source_edge_betweenness,
 )
 
-from conftest import check_target_record, check_touched, edge_bc_by_original, make_random_graph
+from conftest import (
+    check_target_record,
+    check_touched,
+    edge_bc_by_original,
+    make_random_graph,
+    restless_paths,
+)
 
 
 def _by_original(rep, arr):
@@ -87,7 +93,7 @@ def test_finalise_consumes_whole_quintuple():
     scan = new_scan(rep)
     pred = 0  # the (2,0,1,1) edge, covering both of node 0's first two slots
     scan.edge_count[pred] = 3
-    scan.succ_hi[pred] = 1
+    scan.succ_hi[pred] = 2
     scan.intervals[0].append(Quintuple(0, 1, 5, deque([pred]), 3))
     finalise_up_to(scan, 0, 1)
     assert not scan.intervals[0]
@@ -104,7 +110,7 @@ def test_finalise_staged_predecessor_consumption():
     scan = new_scan(rep)
     pa, pb = 0, 1  # the two (2,0,...) edges acting as predecessors
     scan.edge_count[pa], scan.edge_count[pb] = 2, 3
-    scan.succ_hi[pa], scan.succ_hi[pb] = 0, 1
+    scan.succ_hi[pa], scan.succ_hi[pb] = 1, 2
     scan.intervals[0].append(Quintuple(0, 1, 6, deque([pa, pb]), 5))
 
     finalise_up_to(scan, 0, 0)
@@ -126,8 +132,8 @@ def test_finalise_across_gap_and_two_quintuples():
     scan = new_scan(rep)
     pa, pb = 0, 1  # the two (2,0,...) edges acting as predecessors
     scan.edge_count[pa], scan.edge_count[pb] = 2, 3
-    scan.succ_lo[pa], scan.succ_hi[pa] = 0, 0
-    scan.succ_lo[pb], scan.succ_hi[pb] = 2, 2
+    scan.succ_lo[pa], scan.succ_hi[pa] = 0, 1
+    scan.succ_lo[pb], scan.succ_hi[pb] = 2, 3
     scan.intervals[0].extend(
         [Quintuple(0, 0, 5, deque([pa]), 2), Quintuple(2, 2, 6, deque([pb]), 3)]
     )
@@ -141,7 +147,7 @@ def test_finalise_across_gap_and_two_quintuples():
     assert scan.stats["finalised"] == 2 and scan.stats["pred_consumed"] == 2
 
 
-def test_staged_consumption_full_run_matches_oracle():
+def test_staged_consumption_full_run_matches_oracle(quintuple_path):
     # two equal-cost incoming walks whose reach windows end at different
     # out-edges of the middle node
     g = TemporalGraph(
@@ -209,11 +215,11 @@ def _overtaking_graphs() -> list[TemporalGraph]:
     [("nonrestless", c, None) for c in ("sh", "sfo")]
     + [("restless", c, b) for c in ("sh", "sfo") for b in (None, 0, 1, 3)],
 )
-def test_tail_side_step_finalising_several_positions(engine, crit_name, beta):
+def test_tail_side_step_finalising_several_positions(engine, crit_name, beta, monkeypatch):
     """Scanning an out-edge that overtakes an earlier-departing sibling
     finalises both in one tail-side step, off the nonrestless
-    one-position fast path: per-edge optimal costs and walk counts, and
-    node scores, equal the oracle's."""
+    one-position fast path: per-edge optimal costs and walk counts (on
+    both restless forward paths), and node scores, equal the oracle's."""
     crit = get_criterion(crit_name)
     for g in _overtaking_graphs():
         rep = build_sorted_representation(g)
@@ -223,13 +229,15 @@ def test_tail_side_step_finalising_several_positions(engine, crit_name, beta):
                 costs.setdefault(w[-1], []).append(walk_cost([g.edges[e] for e in w], crit))
             best = {e: min(cs) for e, cs in costs.items()}
             if engine == "nonrestless":
-                fwd = nonrestless_forward(rep, s)
-            else:
-                fwd = restless_forward(rep, s, crit, beta, debug_invariants=True)
-            assert _by_original(rep, fwd.edge_cost) == {e: best.get(e) for e in range(g.m)}
-            assert _by_original(rep, fwd.edge_count) == {
-                e: costs[e].count(best[e]) if e in costs else 0 for e in range(g.m)
-            }
+                fwds = [nonrestless_forward(rep, s)]
+            else:  # node scores below then run the quintuple path, which is last
+                fwds = [restless_forward(rep, s, crit, beta, debug_invariants=True)
+                        for _ in restless_paths(monkeypatch)]
+            for fwd in fwds:
+                assert _by_original(rep, fwd.edge_cost) == {e: best.get(e) for e in range(g.m)}
+                assert _by_original(rep, fwd.edge_count) == {
+                    e: costs[e].count(best[e]) if e in costs else 0 for e in range(g.m)
+                }
         orc = oracle_betweenness(g, crit, beta)
         assert node_betweenness(g, crit, beta, engine=engine).values == orc.node_bc
 
@@ -254,7 +262,7 @@ def test_beta_infinity_matches_nonrestless(crit_name):
 
 
 @pytest.mark.parametrize("crit_name", CRITERION_NAMES)
-def test_engine_equals_oracle_all_criteria(crit_name):
+def test_engine_equals_oracle_all_criteria(crit_name, monkeypatch):
     crit = get_criterion(crit_name)
     rng = random.Random(43)
     for _ in range(12):
@@ -262,14 +270,15 @@ def test_engine_equals_oracle_all_criteria(crit_name):
         for beta in (0, 2, None):
             orc = oracle_betweenness(g, crit, beta)
             rep = build_sorted_representation(g)
-            for s in range(g.n):
-                bc, back = single_source_edge_betweenness(
-                    rep, s, crit, beta, debug_invariants=True
-                )
-                got = edge_bc_by_original(rep, bc, back.denom)
-                for e in range(g.m):
-                    assert got[e] == orc.edge_bc.get((s, e), F(0))
-                check_target_record(rep, s, back, orc)
+            for path in restless_paths(monkeypatch):
+                for s in range(g.n):
+                    bc, back = single_source_edge_betweenness(
+                        rep, s, crit, beta, debug_invariants=True
+                    )
+                    got = edge_bc_by_original(rep, bc, back.denom)
+                    for e in range(g.m):
+                        assert got[e] == orc.edge_bc.get((s, e), F(0)), (path, s, e)
+                    check_target_record(rep, s, back, orc)
 
 
 @pytest.mark.parametrize("crit_name", CRITERION_NAMES)
@@ -288,7 +297,7 @@ def test_touched_of_intermediate_phase(crit_name):
                 check_touched(intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, crit))
 
 
-def test_operation_counters_stay_linear():
+def test_operation_counters_stay_linear(quintuple_path):
     """Quintuple bookkeeping touches each edge/position O(1) times."""
     rng = random.Random(47)
     for _ in range(20):
@@ -319,9 +328,10 @@ def test_operation_counters_stay_linear():
     ],
     ids=["toy-sh-0", "toy-fa-2", "loop-sh-1", "loop-la-2", "random-sfa-3", "random-sh-inf"],
 )
-def test_operation_counters_exact(graph, crit_name, beta, want):
+def test_operation_counters_exact(graph, crit_name, beta, want, quintuple_path):
     """quintuples, finalised, pred_consumed and window_ops summed over
-    all sources are pinned exactly: bulk counting must count the same."""
+    all sources are pinned exactly on the quintuple path: bulk counting
+    must count the same."""
     keys = ("quintuples", "finalised", "pred_consumed", "window_ops")
     crit = get_criterion(crit_name)
     rep = build_sorted_representation(graph)
@@ -334,16 +344,20 @@ def test_operation_counters_exact(graph, crit_name, beta, want):
     assert tuple(got) == want
 
 
-def test_forward_freezes_own_position_inline(monkeypatch):
-    """On a regular ladder every tail-side step freezes just the scanned
-    edge's own position, which forward does without ``finalise_up_to``.
-    Outputs stay right without that step, so only its call count shows it."""
-    layers = 30
+def _ladder(layers: int) -> TemporalGraph:
+    # both nodes of layer i lead to both of layer i + 1, departing at 2i
     edges = [
         TemporalEdge(2 * i + a, 2 * i + 2 + b, 2 * i, 1)
         for i in range(layers - 1) for a in (0, 1) for b in (0, 1)
     ]
-    g = TemporalGraph(2 * layers, edges)
+    return TemporalGraph(2 * layers, edges)
+
+
+def test_forward_freezes_own_position_inline(monkeypatch, quintuple_path):
+    """On a regular ladder every tail-side step freezes just the scanned
+    edge's own position, which forward does without ``finalise_up_to``.
+    Outputs stay right without that step, so only its call count shows it."""
+    g = _ladder(30)
     rep = build_sorted_representation(g)
     calls = 0
     original = restless.finalise_up_to
@@ -359,6 +373,35 @@ def test_forward_freezes_own_position_inline(monkeypatch):
         finalised += restless_forward(rep, s, get_criterion("la"), 3).stats["finalised"]
     assert finalised > 0
     assert calls < 0.05 * finalised
+
+
+def test_push_path_selected_by_mean_window():
+    """The ladder's windows hold two positions at β=3, so forward pushes;
+    a dense graph's hold about 20 at β=∞, so it keeps the quintuples."""
+    ladder = build_sorted_representation(_ladder(30))
+    assert ladder.window_total(3) == 2 * (ladder.m - 4)  # the last layer has no out-edge
+    assert restless.pushes(ladder, 3)
+    dense = build_sorted_representation(random_temporal_graph(150, 6000, 1500, 1))
+    assert not restless.pushes(dense, None)
+    fwd = restless_forward(dense, 0, get_criterion("la"), None)
+    assert fwd.stats["quintuples"] > 0
+
+
+@pytest.mark.parametrize("crit_name", CRITERION_NAMES)
+def test_push_and_quintuple_paths_agree(crit_name, monkeypatch):
+    """Both forward paths, and the backward over each, give the same
+    costs, counts, target record, scores and denominator."""
+    crit = get_criterion(crit_name)
+    rep = build_sorted_representation(random_temporal_graph(40, 800, 100, 3))
+    for beta in (0, 1, 3, None):
+        for s in range(rep.graph.n):
+            runs = []
+            for _ in restless_paths(monkeypatch):
+                fwd = restless_forward(rep, s, crit, beta)
+                bc, back = single_source_edge_betweenness(rep, s, crit, beta)
+                runs.append((fwd.edge_cost, fwd.edge_count, fwd.best_target, fwd.target_count,
+                             fwd.edge_tc, fwd.touched, fwd.start, bc, back.node_num, back.denom))
+            assert runs[0] == runs[1], (beta, s)
 
 
 def _late_source_graph() -> TemporalGraph:
@@ -386,24 +429,25 @@ def _late_source_graph() -> TemporalGraph:
 
 
 @pytest.mark.parametrize("crit_name", CRITERION_NAMES)
-def test_scan_starts_at_first_reachable_edge(crit_name):
+def test_scan_starts_at_first_reachable_edge(crit_name, monkeypatch):
     g = _late_source_graph()
     rep = build_sorted_representation(g)
     assert any(revisit_continuations(rep, 0))
     crit = get_criterion(crit_name)
     for beta in (0, 1, 3, None):
         orc = oracle_betweenness(g, crit, beta)
-        for s in range(g.n):
-            fwd = restless_forward(rep, s, crit, beta, debug_invariants=True)
-            assert fwd.start == min(rep.e_dep_node[s], default=rep.m)
-            assert not any(fwd.edge_count[:fwd.start])
-            runs = [single_source_edge_betweenness(rep, s, crit, beta)]
-            if beta is None and crit_name in ("sh", "sfo"):
-                assert nonrestless_forward(rep, s).start == fwd.start
-                runs.append(nonrestless_run(rep, s, crit))
-            for bc, back in runs:
-                got = edge_bc_by_original(rep, bc, back.denom)
-                for e in range(g.m):
-                    assert got[e] == orc.edge_bc.get((s, e), F(0))
-        assert restless_forward(rep, 0, crit, beta).start == 5
-        assert node_betweenness(g, crit, beta).values == orc.node_bc
+        for _ in restless_paths(monkeypatch):
+            for s in range(g.n):
+                fwd = restless_forward(rep, s, crit, beta, debug_invariants=True)
+                assert fwd.start == min(rep.e_dep_node[s], default=rep.m)
+                assert not any(fwd.edge_count[:fwd.start])
+                runs = [single_source_edge_betweenness(rep, s, crit, beta)]
+                if beta is None and crit_name in ("sh", "sfo"):
+                    assert nonrestless_forward(rep, s).start == fwd.start
+                    runs.append(nonrestless_run(rep, s, crit))
+                for bc, back in runs:
+                    got = edge_bc_by_original(rep, bc, back.denom)
+                    for e in range(g.m):
+                        assert got[e] == orc.edge_bc.get((s, e), F(0))
+            assert restless_forward(rep, 0, crit, beta).start == 5
+            assert node_betweenness(g, crit, beta).values == orc.node_bc
