@@ -40,11 +40,11 @@ class ForwardState:
     """Per-node and per-edge results of the forward scan.
 
     Edge arrays are indexed by position in the by-arrival order.
-    ``live`` lists, in scan order, a pair (e, window start) for every
-    edge e that ended an optimal walk to its head at scan time; the
-    window start is the first position in the head's by-departure list
-    that can extend such a walk.  No other edge has successors, nor (the
-    head's optimum only falls) ends a target-optimal walk under sh or sfo.
+    ``live`` lists, in scan order, the position of every edge that ended
+    an optimal walk to its head at scan time; its successors start at its
+    window start in the run's table (``rep.windows(None)``).  No other
+    edge has successors, nor (the head's optimum only falls) ends a
+    target-optimal walk under sh or sfo.
     ``touched`` lists the nodes with a walk, in first-walk order.
     """
 
@@ -52,7 +52,7 @@ class ForwardState:
     best_count: list[int]
     edge_cost: list[int | None]
     edge_count: list[int]
-    live: list[tuple[int, int]]
+    live: list[int]
     touched: list[int]
     start: int  # no position below it is reached
 
@@ -92,7 +92,8 @@ def forward_phase(rep: SortedRepresentation, source: int) -> ForwardState:
     finalised as single-edge walks: no walk back through the source beats them.
     Head-side window starts come from the run's table (``rep.windows``).
     Only the source's frontier, set past all its out-edges, can lie beyond
-    one; the start is clamped to it so backward skips those edges.
+    one; backward's window over those edges adds nothing, as they cost 1
+    and every successor costs at least 2.
     """
     n = rep.graph.n
     m = rep.m
@@ -101,7 +102,7 @@ def forward_phase(rep: SortedRepresentation, source: int) -> ForwardState:
     frontier = [0] * n
     edge_cost: list[int | None] = [None] * m
     edge_count = [0] * m
-    live: list[tuple[int, int]] = []
+    live: list[int] = []
     touched: list[int] = []
 
     e_dep_node, e_arr_dep = rep.e_dep_node, rep.e_arr_dep
@@ -147,9 +148,7 @@ def forward_phase(rep: SortedRepresentation, source: int) -> ForwardState:
                         edge_cost[f] = cv1
                         edge_count[f] = sv
                 frontier[v] = b
-            else:
-                b = a
-            live.append((k, b))
+            live.append(k)
             if cv is None or ck < cv:
                 if cv is None:
                     touched.append(v)
@@ -233,7 +232,7 @@ def backward_phase(
     node, a sliding window sum over the node's by-departure list: the
     successors of the edge being scanned are exactly the window
     positions whose optimal hop count extends the edge's own (window
-    start from ``fwd.live``, with a per-position hop filter).  Hop
+    start from the run's table, with a per-position hop filter).  Hop
     counts of live edges never decrease as the scan moves to earlier
     arrivals, so windows only ever slide left and each position is
     summed once per run of equal hop counts.  Other edges score 0.
@@ -245,16 +244,18 @@ def backward_phase(
     edge_bc = [0] * m
     back.node_num = node_num = [0] * n
     delta = [0] * n
-    win_lo: list[int | None] = [None] * n  # None: the open end of the slice
+    summed_lo: list[int | None] = [None] * n  # None: the open end of the slice
     run_cost: list[int | None] = [None] * n
 
     heads = rep.heads
     e_dep_node = rep.e_dep_node
+    win_lo = rep.windows(None)[0]
     edge_cost, edge_count = fwd.edge_cost, fwd.edge_count
     edge_tc, best_target = back.edge_tc, back.best_target
 
-    for k, ls in reversed(fwd.live):
+    for k in reversed(fwd.live):
         v = heads[k]
+        ls = win_lo[k]
         ck = edge_cost[k]
         nk = share[v] if edge_tc[k] == best_target[v] else 0
         ck1 = ck + 1
@@ -262,11 +263,11 @@ def backward_phase(
             run_cost[v] = ck1
             delta[v] = 0
         d = delta[v]
-        for f in e_dep_node[v][ls:win_lo[v]]:
+        for f in e_dep_node[v][ls:summed_lo[v]]:
             if edge_cost[f] == ck1:
                 d += dep[f]
         delta[v] = d
-        win_lo[v] = ls
+        summed_lo[v] = ls
         nk += d
         if nk:
             dep[k] = nk

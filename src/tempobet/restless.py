@@ -8,9 +8,9 @@ over the node's by-departure edge list:
 
     positions lo..hi currently extend optimal incoming walks and so get
     ``cost``, the extension of those walks' cost; ``preds`` are the edges
-    ending those walks, in arrival order, each covering a recorded window
-    succ_lo[p]..succ_hi[p] - 1 of positions; ``eta`` is the number of those
-    walks not yet consumed by finalisation.
+    ending those walks, in arrival order, each covering positions
+    succ_lo[p]..succ_hi[p] - 1, up to its window's end; ``eta`` is the
+    number of those walks not yet consumed by finalisation.
 
 Because a newly scanned edge arrives no earlier than every previous
 one, trimming the positions that depart before its arrival leaves the
@@ -27,8 +27,8 @@ positions departing no earlier than its covering edges arrive, and as
 travel is positive each such position's edge arrives later, so it is
 scanned afterwards and its tail-side step freezes it.  The backward
 phase is the same successor recursion over int dependency numerators
-as the non-restless engine, except an edge's successor window is its
-recorded coverage interval: the per-node running sum follows those
+as the non-restless engine, except an edge's successor window starts
+where its coverage started: the per-node running sum follows those
 windows right to left, by slices of the head's by-departure list.
 
 A scanned edge's cost and count are final, so forward records its
@@ -93,8 +93,10 @@ class RestlessScan:
     above it are covered by the interval quintuples (or by nothing, if
     no walk can reach them).  No position below ``start`` is reached.
     Edge k's successor window is positions succ_lo[k]..succ_hi[k] - 1 of
-    its head's list.  The push path keeps no quintuple or frontier, and
-    its successor windows are the run's table.
+    its head's list; ``succ_hi`` is the run's ``win_hi``.  The quintuple
+    path records where coverage starts in ``succ_lo``, which holds
+    ``win_hi`` (empty) until then.  The push path keeps no quintuple or
+    frontier, and its ``succ_lo`` is the run's ``win_lo``.
     """
 
     rep: SortedRepresentation
@@ -112,7 +114,7 @@ class RestlessScan:
     stats: dict[str, int] = field(default_factory=dict)
 
     def check_invariants(self) -> None:
-        """Debug-only: quintuple bookkeeping matches its predecessor lists."""
+        """Debug-only: the quintuple path's bookkeeping matches its preds."""
         for v, ivs in enumerate(self.intervals):
             prev_hi = self.frontier[v] - 1
             for q in ivs:
@@ -123,40 +125,40 @@ class RestlessScan:
                 prev_hi = q.hi
 
 
-def new_scan(rep: SortedRepresentation) -> RestlessScan:
-    m = rep.m
+def new_scan(rep: SortedRepresentation, beta: int | None, push: bool) -> RestlessScan:
+    """An empty scan; only the quintuple path's has quintuples and frontiers."""
+    n, m = rep.graph.n, rep.m
+    win_lo, win_hi = rep.windows(beta)
     return RestlessScan(
         rep=rep,
         edge_cost=[None] * m,
         edge_count=[0] * m,
-        succ_lo=[0] * m,
-        succ_hi=[0] * m,
-        intervals=[deque() for _ in range(rep.graph.n)],
-        frontier=[0] * rep.graph.n,
-        best_target=[None] * rep.graph.n,
-        target_count=[0] * rep.graph.n,
+        succ_lo=win_lo if push else list(win_hi),
+        succ_hi=win_hi,
+        intervals=[] if push else [deque() for _ in range(n)],
+        frontier=[] if push else [0] * n,
+        best_target=[None] * n,
+        target_count=[0] * n,
         edge_tc=[None] * m,
         touched=[],
-        stats={"quintuples": 0, "finalised": 0, "pred_consumed": 0, "window_ops": 0},
+        stats={"quintuples": 0, "finalised": 0, "window_ops": 0},
     )
 
 
 def finalise_up_to(scan: RestlessScan, v: int, j: int) -> None:
-    """Freeze cost/count of positions frontier[v]..j of v's out list.
+    """Freeze cost/count of the covered positions up to j of v's out list;
+    the caller, with j at or past v's frontier, then moves the frontier.
 
     One position at a time, front quintuple first: position q.lo gets
     q's cost and current eta, then the predecessors whose coverage ends
     there are consumed (their walks leave eta) and q.lo moves on; q goes
     once q.lo passes q.hi, which bounds every predecessor's coverage.
-    Uncovered positions stay unreachable.  No-op when j is below the
-    frontier.
+    Uncovered positions stay unreachable.
     """
-    if j < scan.frontier[v]:
-        return
     lst = scan.rep.e_dep_node[v]
     ivs = scan.intervals[v]
     edge_cost, edge_count, succ_hi = scan.edge_cost, scan.edge_count, scan.succ_hi
-    finalised = consumed = 0
+    finalised = 0
     while ivs and ivs[0].lo <= j:
         q = ivs[0]
         i = q.lo
@@ -167,12 +169,9 @@ def finalise_up_to(scan: RestlessScan, v: int, j: int) -> None:
         q.lo = i = i + 1
         while preds and succ_hi[preds[0]] == i:  # coverage ends at the frozen position
             q.eta -= edge_count[preds.popleft()]
-            consumed += 1
         if i > q.hi:
             ivs.popleft()
-    scan.frontier[v] = j + 1
     scan.stats["finalised"] += finalised
-    scan.stats["pred_consumed"] += consumed
 
 
 def pushes(rep: SortedRepresentation, beta: int | None) -> bool:
@@ -189,19 +188,21 @@ def restless_forward(
     debug_invariants: bool = False,
 ) -> RestlessScan:
     """Per-edge optimal-walk cost and count, and per-node target optima;
-    a run whose windows are short takes ``push_forward``."""
-    if pushes(rep, beta):
-        return push_forward(rep, source, criterion, beta)
+    a run whose windows are short takes ``push_forward``.
+    ``debug_invariants`` checks the quintuple bookkeeping after each merge."""
+    push = pushes(rep, beta)
+    scan = new_scan(rep, beta, push)
+    if push:
+        return push_forward(scan, source, criterion)
     m = rep.m
-    scan = new_scan(rep)
     gamma, extend, tc = criterion.gamma, criterion.extend, criterion.tc
     same, folded = extend is _same, tc is _folded
     edge_cost, edge_count = scan.edge_cost, scan.edge_count
-    succ_lo, succ_hi = scan.succ_lo, scan.succ_hi
+    succ_lo = scan.succ_lo  # its succ_hi is the table's win_hi
     intervals, frontier = scan.intervals, scan.frontier
     best_target, target_count, edge_tc = scan.best_target, scan.target_count, scan.edge_tc
     touched = scan.touched
-    finalised = consumed = 0
+    finalised = 0
 
     e_dep_node, dep_times = rep.e_dep_node, rep.dep_times
     e_arr_dep = rep.e_arr_dep
@@ -221,9 +222,8 @@ def restless_forward(
                     finalised += 1
                     preds = q.preds
                     q.lo = j = i + 1
-                    while preds and succ_hi[preds[0]] == j:  # coverage ends at i
+                    while preds and win_hi[preds[0]] == j:  # coverage ends at i
                         q.eta -= edge_count[preds.popleft()]
-                        consumed += 1
                     if j > q.hi:  # q.hi bounds every pred's coverage
                         intervals[u].popleft()
                 else:
@@ -262,7 +262,7 @@ def restless_forward(
             frontier[v] = ws
         we = win_hi[k] - 1
         if ws > we:
-            continue  # backward reads (0, 0) as an empty window
+            continue  # k's window stays empty: succ_lo[k] == win_hi[k]
 
         # Post-trim the whole list lies inside [ws, we]; merge by the cost
         # k's successors get, which orders like k's own as extend is
@@ -279,42 +279,37 @@ def restless_forward(
             q.hi = we
             q.preds.append(k)
             q.eta += cnt
-            succ_lo[k], succ_hi[k] = q.lo, we + 1
+            succ_lo[k] = q.lo
         elif new_lo <= we:
             ivs.append(Quintuple(new_lo, we, ck, deque([k]), cnt))
             scan.stats["quintuples"] += 1
-            succ_lo[k], succ_hi[k] = new_lo, we + 1
+            succ_lo[k] = new_lo
         # else k is strictly worse than all live walks and has no
-        # uncovered tail, so it keeps the empty window (0, 0)
+        # uncovered tail, so its window stays empty
         if debug_invariants:
             scan.check_invariants()
 
     scan.stats["finalised"] += finalised
-    scan.stats["pred_consumed"] += consumed
     return scan
 
 
-def push_forward(rep: SortedRepresentation, source: int, criterion: Criterion,
-                 beta: int | None) -> RestlessScan:
-    """The short-window forward: each reached edge's walks go straight
-    into the positions of its window in the run's table, which are
+def push_forward(scan: RestlessScan, source: int, criterion: Criterion) -> RestlessScan:
+    """The short-window forward, into a push scan: each reached edge's
+    walks go straight into the positions of its window, which are
     scanned later; the source's one-edge walks are in place first."""
-    n, m = rep.graph.n, rep.m
+    rep = scan.rep
     gamma, extend, tc = criterion.gamma, criterion.extend, criterion.tc
     same, folded = extend is _same, tc is _folded
-    edge_cost: list = [None] * m
-    edge_count = [0] * m
-    best_target: list = [None] * n
-    target_count = [0] * n
-    edge_tc: list = [None] * m
-    touched: list[int] = []
+    edge_cost, edge_count = scan.edge_cost, scan.edge_count
+    best_target, target_count, edge_tc = scan.best_target, scan.target_count, scan.edge_tc
+    touched = scan.touched
     e_dep_node, heads, arrs = rep.e_dep_node, rep.heads, rep.arrs
-    win_lo, win_hi = rep.windows(beta)
+    win_lo, win_hi = scan.succ_lo, scan.succ_hi
 
     for f, t in zip(e_dep_node[source], rep.dep_times[source]):
         edge_cost[f], edge_count[f] = gamma(t), 1
-    start = min(e_dep_node[source], default=m)
-    for k in range(start, m):
+    scan.start = start = min(e_dep_node[source], default=rep.m)
+    for k in range(start, rep.m):
         cnt = edge_count[k]
         if not cnt:
             continue
@@ -337,10 +332,7 @@ def push_forward(rep: SortedRepresentation, source: int, criterion: Criterion,
                     edge_cost[f], edge_count[f] = ck, cnt
                 elif ck == cf:
                     edge_count[f] += cnt
-
-    stats = {"quintuples": 0, "finalised": 0, "pred_consumed": 0, "window_ops": 0}
-    return RestlessScan(rep, edge_cost, edge_count, win_lo, win_hi, [], [], best_target,
-                        target_count, edge_tc, touched, start, stats)
+    return scan
 
 
 def restless_backward(

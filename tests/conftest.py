@@ -65,6 +65,17 @@ def check_touched(state) -> None:
     assert sorted(state.touched) == [v for v, c in enumerate(state.target_count) if c]
 
 
+def check_windows(rep, beta, scan) -> None:
+    """Every reached edge's successor window lies inside its window in
+    the run's table, and each of its positions comes later in the scan."""
+    win_lo, win_hi = rep.windows(beta)
+    for k, cnt in enumerate(scan.edge_count):
+        lo, hi = scan.succ_lo[k], scan.succ_hi[k]
+        if cnt and lo < hi:
+            assert win_lo[k] <= lo and hi <= win_hi[k], (k, lo, hi)
+            assert min(rep.e_dep_node[rep.heads[k]][lo:hi]) > k, (k, lo, hi)
+
+
 def check_target_record(rep, source, back, orc) -> None:
     """Assert that one source's target record equals the oracle's: per
     edge not into the source, its target-optimal walk count, and per

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from collections import deque
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -13,11 +16,12 @@ from tempobet.graph import (
     TemporalEdge,
     TemporalGraph,
     build_sorted_representation,
+    parse_edge_list,
     random_temporal_graph,
 )
 from tempobet.nonrestless import forward_phase as nonrestless_forward
 from tempobet.nonrestless import single_source_edge_betweenness as nonrestless_run
-from tempobet.nonrestless import intermediate_phase
+from tempobet.nonrestless import BackwardState, intermediate_phase
 from tempobet.oracle import enumerate_walks, g_loop, g_toy, oracle_betweenness
 from tempobet.restless import (
     Quintuple,
@@ -31,6 +35,7 @@ from tempobet.restless import (
 from conftest import (
     check_target_record,
     check_touched,
+    check_windows,
     edge_bc_by_original,
     make_random_graph,
     restless_paths,
@@ -64,15 +69,6 @@ def test_loop_beta1_forces_revisiting_walk(loop):
     assert _by_original(rep, fwd.edge_count)[3] == 1
 
 
-def test_finalise_noop_below_frontier():
-    g = TemporalGraph(2, [TemporalEdge(0, 1, 10, 1)])
-    rep = build_sorted_representation(g)
-    scan = new_scan(rep)
-    scan.frontier[0] = 1
-    finalise_up_to(scan, 0, 0)
-    assert scan.frontier[0] == 1 and scan.edge_count[0] == 0
-
-
 def _staged_graph() -> TemporalGraph:
     # two incoming edges at node 0 (usable as predecessors) plus three
     # outgoing positions whose coverage the tests manipulate
@@ -88,16 +84,23 @@ def _staged_graph() -> TemporalGraph:
     )
 
 
-def test_finalise_consumes_whole_quintuple():
+def _staged_scan():
+    """A quintuple-path scan whose window ends the test sets in its own
+    list, never in the run's memoised table."""
     rep = build_sorted_representation(_staged_graph())
-    scan = new_scan(rep)
+    scan = new_scan(rep, None, False)
+    scan.succ_hi = [0] * rep.m
+    return rep, scan
+
+
+def test_finalise_consumes_whole_quintuple():
+    rep, scan = _staged_scan()
     pred = 0  # the (2,0,1,1) edge, covering both of node 0's first two slots
     scan.edge_count[pred] = 3
     scan.succ_hi[pred] = 2
     scan.intervals[0].append(Quintuple(0, 1, 5, deque([pred]), 3))
     finalise_up_to(scan, 0, 1)
     assert not scan.intervals[0]
-    assert scan.frontier[0] == 2
     first = rep.e_dep_node[0][0]
     assert scan.edge_cost[first] == 5 and scan.edge_count[first] == 3
 
@@ -106,8 +109,7 @@ def test_finalise_staged_predecessor_consumption():
     """Two predecessors whose coverage ends at different positions: the
     first sub-range keeps the full count, the rest drops the consumed
     predecessor's walks."""
-    rep = build_sorted_representation(_staged_graph())
-    scan = new_scan(rep)
+    rep, scan = _staged_scan()
     pa, pb = 0, 1  # the two (2,0,...) edges acting as predecessors
     scan.edge_count[pa], scan.edge_count[pb] = 2, 3
     scan.succ_hi[pa], scan.succ_hi[pb] = 1, 2
@@ -128,8 +130,7 @@ def test_finalise_staged_predecessor_consumption():
 def test_finalise_across_gap_and_two_quintuples():
     """One call freezes a quintuple, skips an uncovered position and
     freezes the next quintuple at its own cost."""
-    rep = build_sorted_representation(_staged_graph())
-    scan = new_scan(rep)
+    rep, scan = _staged_scan()
     pa, pb = 0, 1  # the two (2,0,...) edges acting as predecessors
     scan.edge_count[pa], scan.edge_count[pb] = 2, 3
     scan.succ_lo[pa], scan.succ_hi[pa] = 0, 1
@@ -143,8 +144,7 @@ def test_finalise_across_gap_and_two_quintuples():
     assert scan.edge_count[pos1] == 0
     assert (scan.edge_cost[pos2], scan.edge_count[pos2]) == (6, 3)
     assert not any(scan.intervals)
-    assert scan.frontier[0] == 3
-    assert scan.stats["finalised"] == 2 and scan.stats["pred_consumed"] == 2
+    assert scan.stats["finalised"] == 2
 
 
 def test_staged_consumption_full_run_matches_oracle(quintuple_path):
@@ -275,6 +275,7 @@ def test_engine_equals_oracle_all_criteria(crit_name, monkeypatch):
                     bc, back = single_source_edge_betweenness(
                         rep, s, crit, beta, debug_invariants=True
                     )
+                    check_windows(rep, beta, restless_forward(rep, s, crit, beta))
                     got = edge_bc_by_original(rep, bc, back.denom)
                     for e in range(g.m):
                         assert got[e] == orc.edge_bc.get((s, e), F(0)), (path, s, e)
@@ -310,7 +311,6 @@ def test_operation_counters_stay_linear(quintuple_path):
                     fwd = restless_forward(rep, s, crit, beta)
                     assert fwd.stats["quintuples"] <= g.m
                     assert fwd.stats["finalised"] <= g.m
-                    assert fwd.stats["pred_consumed"] <= g.m
                     back = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, crit)
                     restless_backward(rep, s, crit, fwd, back)
                     assert fwd.stats["window_ops"] <= 4 * g.m + 4
@@ -319,20 +319,20 @@ def test_operation_counters_stay_linear(quintuple_path):
 @pytest.mark.parametrize(
     "graph, crit_name, beta, want",
     [
-        (g_toy(), "sh", 0, (4, 3, 3, 4)),
-        (g_toy(), "fa", 2, (4, 4, 3, 5)),
-        (g_loop(), "sh", 1, (6, 6, 6, 6)),
-        (g_loop(), "la", 2, (5, 6, 6, 6)),
-        (random_temporal_graph(8, 40, 15, seed=7), "sfa", 3, (51, 82, 54, 91)),
-        (random_temporal_graph(8, 40, 15, seed=7), "sh", None, (59, 130, 71, 136)),
+        (g_toy(), "sh", 0, (4, 3, 4)),
+        (g_toy(), "fa", 2, (4, 4, 5)),
+        (g_loop(), "sh", 1, (6, 6, 6)),
+        (g_loop(), "la", 2, (5, 6, 6)),
+        (random_temporal_graph(8, 40, 15, seed=7), "sfa", 3, (51, 82, 91)),
+        (random_temporal_graph(8, 40, 15, seed=7), "sh", None, (59, 130, 136)),
     ],
     ids=["toy-sh-0", "toy-fa-2", "loop-sh-1", "loop-la-2", "random-sfa-3", "random-sh-inf"],
 )
 def test_operation_counters_exact(graph, crit_name, beta, want, quintuple_path):
-    """quintuples, finalised, pred_consumed and window_ops summed over
-    all sources are pinned exactly on the quintuple path: bulk counting
-    must count the same."""
-    keys = ("quintuples", "finalised", "pred_consumed", "window_ops")
+    """quintuples, finalised and window_ops summed over all sources are
+    pinned exactly on the quintuple path: bulk counting must count the
+    same."""
+    keys = ("quintuples", "finalised", "window_ops")
     crit = get_criterion(crit_name)
     rep = build_sorted_representation(graph)
     got = [0] * len(keys)
@@ -342,6 +342,40 @@ def test_operation_counters_exact(graph, crit_name, beta, want, quintuple_path):
         restless_backward(rep, s, crit, fwd, back)
         got = [g + fwd.stats[k] for g, k in zip(got, keys)]
     assert tuple(got) == want
+
+
+def _perfbench_workloads(monkeypatch):
+    """perfbench/workloads.py, loaded read-only (no bytecode written)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_quintuple_path_counters_on_benchmark_ladder(monkeypatch, quintuple_path):
+    """The benchmark's seed-1 ladder takes the push path; forced onto the
+    quintuple path, la at its β over all sources does pinned work and
+    reaches the edges the traced benchmark run reports."""
+    workloads = _perfbench_workloads(monkeypatch)
+    ladder = workloads.WORKLOADS["ladder-la-2w"]
+    rep = build_sorted_representation(parse_edge_list(workloads.input_text(ladder, 1)))
+    crit = get_criterion(ladder.criterion)
+    keys = ("quintuples", "finalised", "window_ops")
+    got = [0] * len(keys)
+    reached = 0
+    for s in range(rep.graph.n):
+        fwd = restless_forward(rep, s, crit, ladder.beta)
+        back = BackwardState(fwd.best_target, fwd.target_count, fwd.edge_tc, fwd.edge_count,
+                             fwd.touched, [])
+        restless_backward(rep, s, crit, fwd, back)
+        got = [g + fwd.stats[k] for g, k in zip(got, keys)]
+        reached += sum(1 for c in fwd.edge_count if c)
+    assert rep.graph.n == 502
+    assert tuple(got) == (124_500, 278_996, 278_996)
+    assert reached == 280_120
 
 
 def _ladder(layers: int) -> TemporalGraph:
@@ -398,6 +432,7 @@ def test_push_and_quintuple_paths_agree(crit_name, monkeypatch):
             runs = []
             for _ in restless_paths(monkeypatch):
                 fwd = restless_forward(rep, s, crit, beta)
+                check_windows(rep, beta, fwd)
                 bc, back = single_source_edge_betweenness(rep, s, crit, beta)
                 runs.append((fwd.edge_cost, fwd.edge_count, fwd.best_target, fwd.target_count,
                              fwd.edge_tc, fwd.touched, fwd.start, bc, back.node_num, back.denom))
