@@ -16,7 +16,8 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import TextIO
+from itertools import chain
+from typing import NamedTuple, TextIO
 
 
 class ConfigError(ValueError):
@@ -33,9 +34,12 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class TemporalEdge:
-    """One temporal edge. ``arr`` is always ``dep + travel``."""
+class TemporalEdge(NamedTuple):
+    """One temporal edge. ``arr`` is always ``dep + travel``.
+
+    An immutable tuple record with no ``__dict__``: it equals, unpacks
+    and indexes like the plain tuple ``(tail, head, dep, travel)``.
+    """
 
     tail: int
     head: int
@@ -148,46 +152,45 @@ def parse_edge_list(stream: TextIO | str, undirected: bool = False) -> TemporalG
     every line yields both edge orientations.  Raises ParseError with the
     offending line number for malformed lines, non-positive travel times,
     or self-loops.
+
+    A file object is read one physical line at a time and each line is
+    split again with ``str.splitlines()``, so the full text is never held,
+    yet lines and their numbers are those of ``stream.read().splitlines()``
+    (in every newline mode but ``'\\r'``, which would split a CRLF pair).
     """
     if isinstance(stream, str):
         lines = stream.splitlines()
     else:
-        lines = stream.read().splitlines()
-
-    labels: list[str] = []
+        lines = chain.from_iterable(map(str.splitlines, stream))
     ids: dict[str, int] = {}
     edges: list[TemporalEdge] = []
-
-    def node_id(token: str) -> int:
-        nid = ids.get(token)
-        if nid is None:
-            nid = len(labels)
-            ids[token] = nid
-            labels.append(token)
-        return nid
-
     for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         if len(tokens) not in (3, 4):
             raise ParseError(line_no, f"expected 3 or 4 tokens, got {len(tokens)}")
         try:
             dep = int(tokens[2])
             travel = int(tokens[3]) if len(tokens) == 4 else 1
         except ValueError:
-            raise ParseError(line_no, f"non-integer time field in {line!r}") from None
+            raise ParseError(line_no, f"non-integer time field in {raw.strip()!r}") from None
         if travel <= 0:
             raise ParseError(line_no, f"travel time must be positive, got {travel}")
-        if tokens[0] == tokens[1]:
-            raise ParseError(line_no, f"self-loop {tokens[0]!r} rejected")
-        u, v = node_id(tokens[0]), node_id(tokens[1])
+        a, b = tokens[0], tokens[1]
+        if a == b:
+            raise ParseError(line_no, f"self-loop {a!r} rejected")
+        u = ids.get(a)
+        if u is None:
+            u = ids[a] = len(ids)
+        v = ids.get(b)
+        if v is None:
+            v = ids[b] = len(ids)
         edges.append(TemporalEdge(u, v, dep, travel))
         if undirected:
             edges.append(TemporalEdge(v, u, dep, travel))
 
-    return TemporalGraph(len(labels), edges, labels, ids)
+    return TemporalGraph(len(ids), edges, list(ids), ids)
 
 
 def to_edge_list(graph: TemporalGraph) -> str:

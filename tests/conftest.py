@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import importlib.util
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +39,17 @@ def restless_paths(monkeypatch):
     for name, limit in RESTLESS_PATHS.items():
         monkeypatch.setattr(restless, "PUSH_MEAN_WINDOW", limit)
         yield name
+
+
+def perfbench_workloads(monkeypatch):
+    """perfbench/workloads.py, loaded read-only (no bytecode written)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_random_graph(rng: random.Random, n_max: int = 7, m_max: int = 18,

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import io
 import random
+import tracemalloc
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -71,6 +74,75 @@ def test_parse_errors_carry_line_numbers(text, line_no):
     with pytest.raises(ParseError) as exc:
         parse_edge_list(text)
     assert exc.value.line_no == line_no
+
+
+#: Texts whose lines end in every way ``str.splitlines()`` knows: CRLF, a
+#: lone CR, and \x0c or \u2028 inside what a file reads as one line.
+INGEST_TEXTS = [
+    "# comment\r\na b 1\r\n\r\nb c 2\rc d 3 2",  # no newline at the end
+    "a b 1\x0cb c 2\u2028c d 3\n\n  # indented comment\n",
+]
+
+INGEST_ERRORS = [
+    ("a b 1\r\nb c 2\rc c 3\n", 3),
+    ("a b 1\x0cb b 2\n", 2),
+    ("# c\u2028\u2028a b 1 0", 3),
+    ("a b 1\n\x0c\nc d x\n", 4),
+    ("\r\n\r\na b\r\n", 3),
+]
+
+
+def _file_objects(tmp_path, text):
+    """``text`` as a UTF-8 file read in each newline mode but '\\r', then
+    as a StringIO."""
+    path = tmp_path / "g.edges"
+    path.write_bytes(text.encode("utf-8"))
+    for newline in (None, "", "\n"):
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    yield io.StringIO(text)
+
+
+@pytest.mark.parametrize("text", INGEST_TEXTS)
+def test_file_object_parses_like_its_text(tmp_path, text):
+    want = parse_edge_list(text)
+    assert want.m == 3
+    for fh in _file_objects(tmp_path, text):
+        assert parse_edge_list(fh) == want
+
+
+@pytest.mark.parametrize("text, line_no", INGEST_ERRORS)
+def test_file_object_errors_carry_the_text_line_numbers(tmp_path, text, line_no):
+    for source in chain([text], _file_objects(tmp_path, text)):
+        with pytest.raises(ParseError) as exc:
+            parse_edge_list(source)
+        assert exc.value.line_no == line_no
+
+
+def test_edge_records_are_plain_tuples():
+    e = parse_edge_list("a b 5 2\n").edges[0]
+    assert not hasattr(e, "__dict__")
+    assert e == (0, 1, 5, 2) and e.arr == 7
+    tail, head, dep, travel = e
+    assert (e[0], e[2]) == (tail, dep) == (0, 5)
+    with pytest.raises(AttributeError):
+        e.dep = 6
+
+
+def test_file_parse_peaks_near_what_the_graph_keeps(tmp_path):
+    """A file is read one line at a time, so its text and a list of its
+    lines are never held: the traced peak stays close to the graph."""
+    path = tmp_path / "g.edges"
+    path.write_text(to_edge_list(random_temporal_graph(1000, 20_000, 5000, 1)), encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            g = parse_edge_list(fh)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert g.m == 20_000
+    assert peak <= 1.2 * kept, (kept, peak)
 
 
 def test_round_trip_serialization():

@@ -14,20 +14,26 @@ forward instead, which its backward relies on: its quintuple path
 leaves no quintuple and no cost on an unreached edge, and a head's
 successor windows, in reverse arrival order, only move left while their
 extended cost stays the same.  Backward's node sums are checked on
-both forward paths.
+both forward paths.  Time reversal relates two criteria on two graphs,
+on small graphs and at benchmark scale, which checks la's revisit
+correction past the oracle's reach.  A run's traced memory peak must
+not grow with its number of sources.
 """
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
+from tempobet import restless
 from tempobet.costs import CRITERION_NAMES, get_criterion
-from tempobet.driver import node_betweenness, single_source_edge_betweenness
+from tempobet.driver import BLOCK, node_betweenness, single_source_edge_betweenness
 from tempobet.graph import (
     TemporalEdge,
     TemporalGraph,
     build_sorted_representation,
+    parse_edge_list,
     random_temporal_graph,
 )
 from tempobet.nonrestless import forward_phase, intermediate_phase
@@ -35,7 +41,7 @@ from tempobet.nonrestless import single_source_edge_betweenness as nonrestless_r
 from tempobet.restless import restless_forward
 from tempobet.restless import single_source_edge_betweenness as restless_run
 
-from conftest import make_random_graph, restless_paths
+from conftest import make_random_graph, perfbench_workloads, restless_paths
 
 SOURCES = [0, 7, 42]
 RUNS = [("sh", None), ("sfo", None), ("sfa", 10), ("fa", 4)]
@@ -278,3 +284,87 @@ def test_disjoint_union_and_relabelling_across_blocks(crit_name, beta):
     perm = random.Random(3).sample(range(120), 120)
     parts = _check_union_and_relabelling(g, h, crit_name, beta, perm, workers=(1, 2))
     assert sum(1 for x in parts if x.denominator > 1) > 10
+
+
+#: Each criterion's dual under time reversal: fo(G) = la(Gᴿ) and
+#: sfo(G) = sla(Gᴿ), and sh, fa and sfa are their own duals.
+TIME_DUAL = {"fo": "la", "la": "fo", "sfo": "sla", "sla": "sfo", "sh": "sh", "fa": "fa", "sfa": "sfa"}
+
+
+def _reversed(g: TemporalGraph) -> TemporalGraph:
+    """Edge (u, v, dep, travel) becomes (v, u, T - arr, travel), T above
+    every arrival, labels kept.  A walk from s to t becomes a walk from t
+    to s with the same waits, so every bound keeps its meaning; earliest
+    arrival becomes latest departure, while duration and hops are kept."""
+    t = max(e.arr for e in g.edges) + 1
+    return TemporalGraph(g.n, [TemporalEdge(e.head, e.tail, t - e.arr, e.travel)
+                               for e in g.edges], list(g.labels))
+
+
+def test_time_reversal_duality_small_graphs():
+    """Every criterion on G scores as its dual on Gᴿ, at every bound; the
+    continuation pairs map one-to-one, so the window tables have equal
+    totals and both runs take the same restless forward path."""
+    for seed in range(60):
+        g = random_temporal_graph(6, 12, 6, seed, travel_max=2)
+        r = _reversed(g)
+        rep_g, rep_r = build_sorted_representation(g), build_sorted_representation(r)
+        for beta in (None, 0, 1, 3):
+            assert rep_g.window_total(beta) == rep_r.window_total(beta), (seed, beta)
+            for crit_name, dual in TIME_DUAL.items():
+                assert (node_betweenness(g, crit_name, beta).values
+                        == node_betweenness(r, dual, beta).values), (seed, crit_name, beta)
+
+
+@pytest.mark.parametrize("graph_args, beta, crit_name, push", [
+    ("ladder", 3, "la", True),  # 123 non-zero revisit entries
+    ((100, 2000, 400, 1), None, "la", False),
+    ((300, 6000, 1200, 1), 50, "fo", True),
+], ids=["ladder-la-3", "uniform-la-inf", "uniform-fo-50"])
+def test_time_reversal_duality_at_benchmark_scale(graph_args, beta, crit_name, push, monkeypatch):
+    """The duality over all sources, on the benchmark's seed-1 ladder (read
+    from perfbench, which is not changed) and on uniform graphs, through
+    the named restless forward path."""
+    if graph_args == "ladder":
+        workloads = perfbench_workloads(monkeypatch)
+        ladder = workloads.WORKLOADS["ladder-la-2w"]
+        assert (ladder.criterion, ladder.beta) == (crit_name, beta)
+        g = parse_edge_list(workloads.input_text(ladder, 1))
+    else:
+        g = random_temporal_graph(*graph_args)
+    r = _reversed(g)
+    rep = build_sorted_representation(g)
+    assert restless.pushes(rep, beta) is push
+    assert rep.window_total(beta) == build_sorted_representation(r).window_total(beta)
+    want = node_betweenness(g, crit_name, beta).values
+    assert sum(1 for x in want if x) > g.n // 2
+    assert node_betweenness(r, TIME_DUAL[crit_name], beta).values == want
+
+
+def _traced_peak(g: TemporalGraph, crit_name, beta, sources, workers) -> int:
+    tracemalloc.start()
+    try:
+        node_betweenness(g, crit_name, beta, sources=sources, workers=workers)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("crit_name, beta, workers", [
+    ("sh", None, 1), ("la", 3, 1), ("fa", None, 1), ("la", 3, 2),
+])
+def test_traced_peak_does_not_grow_with_sources(crit_name, beta, workers):
+    """A run keeps O(n + M) however many sources it sums: three times the
+    sources raise its traced peak by less than a quarter.  sh runs the
+    lean engine, la and fa the restless one.  With 2 workers only the
+    parent is traced, and both runs take more than one block, so both
+    go through the pool."""
+    g = random_temporal_graph(100, 800, 400, 1)
+    base = BLOCK
+    if workers > 1:
+        base = 2 * BLOCK
+        # the first pool imports its modules, which are not the run's memory
+        node_betweenness(g, crit_name, beta, sources=range(base), workers=workers)
+    small = _traced_peak(g, crit_name, beta, range(base), workers)
+    big = _traced_peak(g, crit_name, beta, range(3 * base), workers)
+    assert big <= 1.25 * small, (small, big)

@@ -1,11 +1,8 @@
 from __future__ import annotations
 
-import importlib.util
 import random
-import sys
 from collections import deque
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 
@@ -38,6 +35,7 @@ from conftest import (
     check_windows,
     edge_bc_by_original,
     make_random_graph,
+    perfbench_workloads,
     restless_paths,
 )
 
@@ -344,22 +342,11 @@ def test_operation_counters_exact(graph, crit_name, beta, want, quintuple_path):
     assert tuple(got) == want
 
 
-def _perfbench_workloads(monkeypatch):
-    """perfbench/workloads.py, loaded read-only (no bytecode written)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_quintuple_path_counters_on_benchmark_ladder(monkeypatch, quintuple_path):
     """The benchmark's seed-1 ladder takes the push path; forced onto the
     quintuple path, la at its β over all sources does pinned work and
     reaches the edges the traced benchmark run reports."""
-    workloads = _perfbench_workloads(monkeypatch)
+    workloads = perfbench_workloads(monkeypatch)
     ladder = workloads.WORKLOADS["ladder-la-2w"]
     rep = build_sorted_representation(parse_edge_list(workloads.input_text(ladder, 1)))
     crit = get_criterion(ladder.criterion)
