@@ -23,7 +23,6 @@ the nearest float of each node's exact total.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import math
 from dataclasses import dataclass
@@ -273,6 +272,7 @@ def _block_results(config: tuple, blocks: list[list[int]], workers: int):
     if workers == 1 or len(blocks) <= 1:
         yield from map(functools.partial(_block_sums, *config), blocks)
         return
+    import concurrent.futures  # here, so that single-worker runs never load a pool
     # criteria hold lambdas, which cannot be pickled: workers get the name
     rep, crit, *rest = config
     with concurrent.futures.ProcessPoolExecutor(

@@ -17,7 +17,8 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import NamedTuple, TextIO
+from operator import itemgetter
+from typing import Iterator, NamedTuple, TextIO
 
 
 class ConfigError(ValueError):
@@ -143,6 +144,19 @@ class SortedRepresentation:
         return self._window_total[beta]
 
 
+PARSE_CHUNK = 1 << 16  #: characters of a ``str`` that parse_edge_list splits at a time
+
+
+def _text_chunks(text: str) -> Iterator[str]:
+    """``text`` in pieces of about PARSE_CHUNK characters, each cut just after
+    a ``'\\n'``, which always ends a line: their lines are ``text.splitlines()``."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + PARSE_CHUNK) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 def parse_edge_list(stream: TextIO | str, undirected: bool = False) -> TemporalGraph:
     """Parse whitespace-separated edge-list text into a TemporalGraph.
 
@@ -153,18 +167,16 @@ def parse_edge_list(stream: TextIO | str, undirected: bool = False) -> TemporalG
     offending line number for malformed lines, non-positive travel times,
     or self-loops.
 
-    A file object is read one physical line at a time and each line is
-    split again with ``str.splitlines()``, so the full text is never held,
-    yet lines and their numbers are those of ``stream.read().splitlines()``
-    (in every newline mode but ``'\\r'``, which would split a CRLF pair).
+    Input is split by ``str.splitlines()`` a piece at a time (a file's
+    lines, or a ``str`` cut after newlines by ``_text_chunks``), so no list
+    of all lines is held, yet lines and their numbers are those of
+    ``text.splitlines()`` (for a file in every newline mode but ``'\\r'``,
+    which would split a CRLF pair).  Records come from ``tuple.__new__``.
     """
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = chain.from_iterable(map(str.splitlines, stream))
+    chunks = _text_chunks(stream) if isinstance(stream, str) else stream
     ids: dict[str, int] = {}
     edges: list[TemporalEdge] = []
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(chain.from_iterable(map(str.splitlines, chunks)), start=1):
         tokens = raw.split()
         if not tokens or tokens[0].startswith("#"):
             continue
@@ -186,9 +198,9 @@ def parse_edge_list(stream: TextIO | str, undirected: bool = False) -> TemporalG
         v = ids.get(b)
         if v is None:
             v = ids[b] = len(ids)
-        edges.append(TemporalEdge(u, v, dep, travel))
+        edges.append(tuple.__new__(TemporalEdge, (u, v, dep, travel)))
         if undirected:
-            edges.append(TemporalEdge(v, u, dep, travel))
+            edges.append(tuple.__new__(TemporalEdge, (v, u, dep, travel)))
 
     return TemporalGraph(len(ids), edges, list(ids), ids)
 
@@ -204,35 +216,47 @@ def to_edge_list(graph: TemporalGraph) -> str:
 def build_sorted_representation(graph: TemporalGraph) -> SortedRepresentation:
     """Build the sorted index lists; ties keep input order (stable).
 
-    Raises ConfigError for an edge the parser would reject; a zero-travel
-    cycle has infinitely many walks.
+    Raises ConfigError for a record that is not a TemporalEdge or an edge
+    the parser would reject; a zero-travel cycle has infinitely many walks.
+    Equal arrivals share one int object, and e_dep_node's positions are
+    e_arr's own objects: both sorts order one ``list(range(m))``.
     """
-    n, m = graph.n, graph.m
-    for i, e in enumerate(graph.edges):
-        t, h, d, tr = e.tail, e.head, e.dep, e.travel
+    n, m, edges = graph.n, graph.m, graph.edges
+    first: dict[int, int] = {}
+    arr_of: list[int] = []
+    for i, e in enumerate(edges):
+        if not isinstance(e, TemporalEdge):
+            raise ConfigError(f"edge {i}: need a TemporalEdge, got {e!r}")
+        t, h, d, tr = e
         if not (type(t) is type(h) is type(d) is type(tr) is int):  # bool and float fail
             raise ConfigError(f"edge {i}: endpoints and times must be ints, got {e}")
         if t == h or not (0 <= t < n and 0 <= h < n) or tr < 1:
             raise ConfigError(f"edge {i}: need distinct ids below {n} and travel >= 1, got {e}")
-    order_arr = sorted(range(m), key=lambda i: graph.edges[i].arr)
+        arr = d + tr
+        arr_of.append(first.setdefault(arr, arr))
+    del first  # temporaries go once used: the build peaks near what the index keeps
+    ids = list(range(m))  # one int object per index, for e_arr and e_dep_node
+    order_arr = sorted(ids, key=arr_of.__getitem__)
     pos_of = [0] * m
-    for pos, orig in enumerate(order_arr):
+    for pos, orig in zip(ids, order_arr):
         pos_of[orig] = pos
-    order_dep = sorted(range(m), key=lambda i: graph.edges[i].dep)
+    deps = list(map(itemgetter(2), edges))
+    order_dep = sorted(ids, key=deps.__getitem__)
+    del ids, deps
 
     e_dep_node: list[list[int]] = [[] for _ in range(n)]
     dep_times: list[list[int]] = [[] for _ in range(n)]
     e_arr_dep = [0] * m
     for i in order_dep:
-        pos, edge = pos_of[i], graph.edges[i]
-        e_arr_dep[pos] = len(e_dep_node[edge.tail])
-        e_dep_node[edge.tail].append(pos)
-        dep_times[edge.tail].append(edge.dep)
+        pos, (tail, _, dep, _) = pos_of[i], edges[i]
+        e_arr_dep[pos] = len(e_dep_node[tail])
+        e_dep_node[tail].append(pos)
+        dep_times[tail].append(dep)
+    del pos_of, order_dep
 
-    by_arr = [graph.edges[i] for i in order_arr]
-    tails = [e.tail for e in by_arr]
-    heads = [e.head for e in by_arr]
-    arrs = [e.arr for e in by_arr]
+    tails = list(map(itemgetter(0), map(edges.__getitem__, order_arr)))
+    heads = list(map(itemgetter(1), map(edges.__getitem__, order_arr)))
+    arrs = list(map(arr_of.__getitem__, order_arr))
     return SortedRepresentation(graph, order_arr, e_dep_node, dep_times, e_arr_dep,
                                 tails, heads, arrs)
 

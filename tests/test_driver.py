@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import tempobet
 from tempobet.costs import ConfigError, Criterion, get_criterion
 from tempobet.driver import (
     BLOCK,
@@ -60,6 +64,22 @@ def test_worker_count_invariance(toy):
     base = node_betweenness(toy, "sh", None, workers=1)
     for workers in (2, 8):
         assert node_betweenness(toy, "sh", None, workers=workers).values == base.values
+
+
+def test_single_worker_run_loads_no_process_pool():
+    """Only a run that makes a pool imports concurrent.futures, which
+    pulls in logging: the library's single-worker default loads neither."""
+    script = (
+        "import sys, tempobet\n"
+        "g = tempobet.random_temporal_graph(40, 400, 100, 1)\n"
+        "assert len(tempobet.node_betweenness(g, 'sh', workers=1).values) == 40\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(tempobet.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_source_subset_additivity():
@@ -231,9 +251,13 @@ def test_single_source_bad_input_raises_config_error(toy, source, beta):
         (TemporalEdge(0, 3, 1, 1), "edge 1: need distinct ids below 3 and travel >= 1"),
         (TemporalEdge(-1, 1, 1, 1), "edge 1: need distinct ids below 3 and travel >= 1"),
         (TemporalEdge(2, 2, 1, 1), "edge 1: need distinct ids below 3 and travel >= 1"),
+        ((0, 1, 1, 1), "edge 1: need a TemporalEdge, got \\(0, 1, 1, 1\\)"),
+        ("0111", "edge 1: need a TemporalEdge, got '0111'"),
+        (None, "edge 1: need a TemporalEdge, got None"),
     ],
     ids=["travel-negative", "travel-float", "travel-bool",
-         "dep-float", "head-range", "tail-negative", "self-loop"],
+         "dep-float", "head-range", "tail-negative", "self-loop",
+         "plain-tuple", "str", "none"],
 )
 def test_bad_graph_raises_config_error(edge, match):
     g = TemporalGraph(3, [TemporalEdge(1, 2, 5, 1), edge])

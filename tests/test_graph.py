@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tempobet import graph as graph_mod
 from tempobet.driver import node_betweenness
 from tempobet.graph import (
     ParseError,
@@ -129,18 +130,54 @@ def test_edge_records_are_plain_tuples():
         e.dep = 6
 
 
+def _traced_parse(source):
+    """(graph, bytes kept, peak bytes) of parsing ``source`` under tracemalloc."""
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(source)
+        return (g, *tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+
+
 def test_file_parse_peaks_near_what_the_graph_keeps(tmp_path):
     """A file is read one line at a time, so its text and a list of its
     lines are never held: the traced peak stays close to the graph."""
     path = tmp_path / "g.edges"
     path.write_text(to_edge_list(random_temporal_graph(1000, 20_000, 5000, 1)), encoding="utf-8")
     with open(path, encoding="utf-8") as fh:
-        tracemalloc.start()
+        g, kept, peak = _traced_parse(fh)
+    assert g.m == 20_000
+    assert peak <= 1.2 * kept, (kept, peak)
+
+
+@pytest.mark.parametrize("text", INGEST_TEXTS + [t for t, _ in INGEST_ERRORS])
+def test_str_chunks_split_into_the_text_lines(monkeypatch, text):
+    """A ``str`` is split one PARSE_CHUNK-sized piece at a time; a piece
+    ends just after a newline, so at every size, 0 included, the lines,
+    the graph and a ParseError's line number are those of
+    ``text.splitlines()``."""
+    try:  # the reference: text.splitlines(), one line per item
+        want = parse_edge_list(line + "\n" for line in text.splitlines())
+    except ParseError as exc:
+        want = exc.line_no
+    for size in range(len(text) + 2):
+        monkeypatch.setattr(graph_mod, "PARSE_CHUNK", size)
+        pieces = list(graph_mod._text_chunks(text))
+        assert "".join(pieces) == text
+        assert all(p.endswith("\n") for p in pieces[:-1])
+        assert list(chain.from_iterable(map(str.splitlines, pieces))) == text.splitlines()
         try:
-            g = parse_edge_list(fh)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+            got = parse_edge_list(text)
+        except ParseError as exc:
+            got = exc.line_no
+        assert got == want, size
+
+
+def test_str_parse_peaks_near_what_the_graph_keeps():
+    """A ``str`` is split into lines one piece at a time, so a list of all
+    its lines is never held: the traced peak stays close to the graph."""
+    g, kept, peak = _traced_parse(to_edge_list(random_temporal_graph(1000, 20_000, 5000, 1)))
     assert g.m == 20_000
     assert peak <= 1.2 * kept, (kept, peak)
 
@@ -166,6 +203,15 @@ def test_sorted_representation_toy_stable_ties(toy):
     # arrivals 2,3,3,4,5; the two arrival-3 edges keep input order
     assert rep.e_arr == [0, 1, 2, 3, 4]
     assert rep.arrs == [2, 3, 3, 4, 5]
+
+
+def test_rep_keeps_one_int_object_per_value():
+    """Equal arrivals share one object, and every position in e_dep_node
+    is one of e_arr's own objects."""
+    rep = build_sorted_representation(random_temporal_graph(200, 3000, 600, 1))
+    assert len({id(t) for t in rep.arrs}) == len(set(rep.arrs)) < rep.m
+    positions = {id(p) for p in rep.e_arr}
+    assert all(id(p) in positions for lst in rep.e_dep_node for p in lst)
 
 
 def _assert_rep_invariants(g: TemporalGraph):
