@@ -25,12 +25,7 @@ import time
 from fractions import Fraction
 
 from .costs import ConfigError, get_criterion
-from .driver import (
-    check_beta,
-    node_betweenness,
-    revisit_continuations,
-    single_source_edge_betweenness,
-)
+from .driver import check_beta, node_betweenness, single_source_edge_betweenness
 from .graph import (
     ParseError,
     TemporalGraph,
@@ -211,11 +206,6 @@ def cmd_bench(args) -> int:
     if sample:
         print(f"per_source_mean_seconds {median / len(sample):.6f}")
     print(f"windows_seconds {windows_seconds:.6f}")
-    if crit.name == "la":
-        # built once per la run, outside every per-source timing above
-        start = time.perf_counter()
-        revisit_continuations(rep, beta)
-        print(f"revisit_seconds {time.perf_counter() - start:.6f}")
     return 0
 
 

@@ -1,25 +1,23 @@
 """All-sources orchestration: per-source engine runs, node aggregation.
 
-Node betweenness is assembled from per-source edge betweenness: a
-node's score is, over every other source, the sum of scores of its
-incoming edges minus that source's node-as-target share.  The share is
-1 whenever the node is reachable, except under the latest-departure
-criterion, where optimal walks may revisit their own target and the
-share needs exact revisit counts (see revisit_continuations).
+A node's score is, over every other source, the sum of the scores of
+its incoming edges minus that source's node-as-target share: 1 whenever
+the node is reachable, as an optimal walk's prefix would beat any
+revisit of its target.  Latest-departure walks keep their score when
+extended, so la and sla run as fo and sfo (TIME_DUAL) on the
+time-reversed graph Gᴿ, whose sorted representation replaces G's; a
+source subset of G becomes a target set of Gᴿ (``targets``), in which
+every node is a source.
 
 Per source, the engines return int numerators over one denominator,
-which their backward passes also sum per head node (``back.node_num``).
-One rule merges exact shares (_add_scaled): int numerators over d are
-added into int totals over a running lcm, and only when d does not
-divide the lcm are the lcm and the totals multiplied up first.  Sources
-are cut into fixed blocks of ascending sources; a block merges its
-sources' node sums by that rule, so its D is the lcm of their
-denominators, and the run merges the block sums by the same rule, then
-makes one Fraction per node at the end.  The sorted representation, its
-windows and the revisit table are built once per run; blocks can run in
-parallel workers that receive them, and block sums are added in block
-order, so results are independent of the worker count.  Fast mode is
-the nearest float of each node's exact total.
+summed per head node by backward (``back.node_num``).  One rule merges
+exact shares (_add_scaled): numerators over d are added into int totals
+over a running lcm, rescaled first only when d does not divide it.
+Sources are cut into fixed blocks of ascending sources, merged by that
+rule within a block and again across blocks, in block order, so results
+do not depend on the worker count; one Fraction per node is made at the
+end, and fast mode is its nearest float.  The sorted representation and
+its windows are built once per run, before any worker receives them.
 """
 from __future__ import annotations
 
@@ -31,7 +29,7 @@ from typing import Sequence
 
 from . import nonrestless, restless
 from .costs import ConfigError, Criterion, get_criterion
-from .graph import SortedRepresentation, TemporalGraph, build_sorted_representation
+from .graph import SortedRepresentation, TemporalGraph, build_sorted_representation, time_reversed
 
 
 @dataclass
@@ -104,34 +102,28 @@ def single_source_edge_betweenness(
     criterion: str | Criterion,
     beta: int | None,
     engine: str = "auto",
+    targets: frozenset[int] | None = None,
 ) -> tuple[list[int], nonrestless.BackwardState]:
     """Edge betweenness and counts for one source, engine auto-selected.
 
-    Returns (edge_bc, back): the score of the edge at arrival position k
-    is edge_bc[k] / back.denom, with both ints.  A bad source, beta,
-    criterion or engine raises ConfigError.
+    Returns (edge_bc, back): the score of the edge at arrival position k,
+    over walks to ``targets`` (None: every node), is edge_bc[k] /
+    back.denom, with both ints.  A bad source, beta, criterion or engine
+    raises ConfigError.
     """
     crit = _resolve_criterion(criterion)
     beta = check_beta(beta)
     _check_sources(rep.graph, [source])
     which = _pick_engine(crit, beta, engine)
     if which == "nonrestless":
-        return nonrestless.single_source_edge_betweenness(rep, source, crit)
-    return restless.single_source_edge_betweenness(rep, source, crit, beta)
+        return nonrestless.single_source_edge_betweenness(rep, source, crit, targets)
+    return restless.single_source_edge_betweenness(rep, source, crit, beta, targets)
 
 
 def revisit_continuations(rep: SortedRepresentation, beta: int | None) -> list[int]:
     """For each edge e, the number of walk continuations of e that end
-    back at e's own head.
-
-    Sums of per-edge betweenness over a node's incoming edges count the
-    node-as-target share once per *occurrence* of the node in a walk.
-    For every criterion except latest departure an optimal walk cannot
-    revisit its own target (its prefix would beat it), so that share is
-    exactly 1 per reachable source and subtracting the reachability
-    indicator is enough.  Latest-departure walks keep their score when
-    extended, so the node aggregation must subtract the exact share; the
-    counts returned here (independent of the source) provide it.
+    back at e's own head: la's exact node-as-target share on G, as its
+    walks may revisit their target.  Runs take la on Gᴿ (TIME_DUAL).
 
     Counts are computed per head node u, in reverse arrival order, from
     each edge's continuation window: the positions of its head's
@@ -196,6 +188,9 @@ def revisit_continuations(rep: SortedRepresentation, beta: int | None) -> list[i
     return k_table
 
 
+#: la and sla run as these criteria on the time-reversed graph.
+TIME_DUAL = {"la": "fo", "sla": "sfo"}
+
 #: Sources per unit of work.  A block's shares are merged by _add_scaled
 #: into ints over one common denominator, so the parent adds one int per
 #: touched node and block; the size is fixed so that the blocks, and with
@@ -227,30 +222,20 @@ def _block_sums(
     crit: str | Criterion,
     beta: int | None,
     engine: str,
-    revisit: list[tuple[int, int]],
+    targets: frozenset[int] | None,
     block: list[int],
 ) -> tuple[int, list[tuple[int, int]]]:
     """These sources' summed share of the betweenness of each node they
     touch, as (D, [(node, N)]): the share is N / D.  Each source's
-    in-edge sums ``back.node_num``, less its node-as-target shares, are
-    merged by _add_scaled over the nodes it reaches (``back.touched``),
-    so D is the lcm of the sources' denominators.
-    ``revisit`` holds the non-zero (position, count) entries of the la
-    revisit table."""
-    heads = rep.heads
+    in-edge sums ``back.node_num``, less its node-as-target shares (to
+    ``targets``, None: all), are merged by _add_scaled over the nodes it
+    reaches (``back.touched``), so D is the lcm of the sources' denominators."""
     total, lcm = [0] * rep.graph.n, 0
     for source in block:
-        _, back = single_source_edge_betweenness(rep, source, crit, beta, engine)
+        _, back = single_source_edge_betweenness(rep, source, crit, beta, engine, targets)
         denom, num, touched = back.denom, back.node_num, back.touched
-        best_target, target_count = back.best_target, back.target_count
-        edge_tc, edge_count = back.edge_tc, back.edge_count
-        for u in touched:
+        for u in touched if targets is None else targets.intersection(touched):
             num[u] -= denom
-        for k, cont in revisit:
-            u = heads[k]
-            # an unreached edge and an unreached node both read None
-            if u != source and edge_count[k] and edge_tc[k] == best_target[u]:
-                num[u] -= edge_count[k] * cont * (denom // target_count[u])
         num[source] = 0
         lcm = _add_scaled(total, lcm, denom, [(u, num[u]) for u in touched])
     return lcm, [(u, x) for u, x in enumerate(total) if x]
@@ -294,7 +279,8 @@ def node_betweenness(
 
     ``sources`` defaults to all nodes; passing a subset computes the
     partial sums over just those sources (the result is additive over
-    disjoint source sets).  ``mode`` picks the output type only: the
+    disjoint source sets); la and sla run as fo and sfo on Gᴿ from every
+    node, to the sources.  ``mode`` picks the output type only: the
     computation is exact either way, and each node's score is a
     Fraction ("exact") or the nearest float of that Fraction ("fast").
     Every argument is checked here, and a bad one raises ConfigError;
@@ -311,21 +297,19 @@ def node_betweenness(
     if len(graph.labels) != graph.n or len(set(graph.labels)) != graph.n:
         raise ConfigError(f"a graph of {graph.n} nodes needs {graph.n} distinct labels")
 
+    run_crit, run_sources, targets = crit, sorted(src_list), None
+    if crit.name in TIME_DUAL:  # labels and node ids are kept
+        graph, run_crit = time_reversed(graph), get_criterion(TIME_DUAL[crit.name])
+        if 0 < len(src_list) < graph.n:
+            run_sources, targets = list(range(graph.n)), frozenset(src_list)
     rep = build_sorted_representation(graph)
     rep.windows(beta)  # built before any worker starts, so every worker receives it
-    revisit = []
-    if crit.name == "la":
-        table = revisit_continuations(rep, beta)
-        revisit = [(k, c) for k, c in enumerate(table) if c]
-    src_list.sort()
-    blocks = [src_list[i:i + BLOCK] for i in range(0, len(src_list), BLOCK)]
+    blocks = [run_sources[i:i + BLOCK] for i in range(0, len(run_sources), BLOCK)]
     nums, lcm = [0] * graph.n, 0
-    config = (rep, crit, beta, engine, revisit)
+    config = (rep, run_crit, beta, engine, targets)
     for d, sums in _block_results(config, blocks, workers):
         lcm = _add_scaled(nums, lcm, d, sums)
     values = [Fraction(x, lcm or 1) for x in nums]  # lcm 0: no source
     if mode == "fast":
         values = [float(v) for v in values]
-    return NodeBetweenness(
-        list(graph.labels), values, crit.name, beta, len(src_list), mode
-    )
+    return NodeBetweenness(list(graph.labels), values, crit.name, beta, len(src_list), mode)

@@ -213,18 +213,12 @@ def to_edge_list(graph: TemporalGraph) -> str:
     return "\n".join(out) + ("\n" if out else "")
 
 
-def build_sorted_representation(graph: TemporalGraph) -> SortedRepresentation:
-    """Build the sorted index lists; ties keep input order (stable).
-
-    Raises ConfigError for a record that is not a TemporalEdge or an edge
-    the parser would reject; a zero-travel cycle has infinitely many walks.
-    Equal arrivals share one int object, and e_dep_node's positions are
-    e_arr's own objects: both sorts order one ``list(range(m))``.
-    """
-    n, m, edges = graph.n, graph.m, graph.edges
-    first: dict[int, int] = {}
-    arr_of: list[int] = []
-    for i, e in enumerate(edges):
+def _checked_arrivals(graph: TemporalGraph) -> list[int]:
+    """Each edge's arrival, equal ones sharing one int object; raises
+    ConfigError for a record that is not a TemporalEdge or an edge the
+    parser would reject (a zero-travel cycle has infinitely many walks)."""
+    n, first, arr_of = graph.n, {}, []
+    for i, e in enumerate(graph.edges):
         if not isinstance(e, TemporalEdge):
             raise ConfigError(f"edge {i}: need a TemporalEdge, got {e!r}")
         t, h, d, tr = e
@@ -234,7 +228,29 @@ def build_sorted_representation(graph: TemporalGraph) -> SortedRepresentation:
             raise ConfigError(f"edge {i}: need distinct ids below {n} and travel >= 1, got {e}")
         arr = d + tr
         arr_of.append(first.setdefault(arr, arr))
-    del first  # temporaries go once used: the build peaks near what the index keeps
+    return arr_of
+
+
+def time_reversed(graph: TemporalGraph) -> TemporalGraph:
+    """Gᴿ, with G's nodes, labels and edge order: edge (u, v, dep, travel)
+    becomes (v, u, T - arr, travel), T above every arrival, so a walk from
+    s to t becomes one from t to s with the same waits; raises ConfigError
+    as build_sorted_representation(graph) would."""
+    arr_of = _checked_arrivals(graph)
+    t = max(arr_of, default=0) + 1
+    edges = [TemporalEdge(h, u, t - a, tr) for (u, h, _, tr), a in zip(graph.edges, arr_of)]
+    return TemporalGraph(graph.n, edges, graph.labels, graph.label_ids)
+
+
+def build_sorted_representation(graph: TemporalGraph) -> SortedRepresentation:
+    """Build the sorted index lists; ties keep input order (stable).
+
+    Raises ConfigError as _checked_arrivals does.  e_dep_node's positions
+    are e_arr's own objects: both sorts order one ``list(range(m))``.
+    """
+    n, m, edges = graph.n, graph.m, graph.edges
+    arr_of = _checked_arrivals(graph)
+    # temporaries go once used: the build peaks near what the index keeps
     ids = list(range(m))  # one int object per index, for e_arr and e_dep_node
     order_arr = sorted(ids, key=arr_of.__getitem__)
     pos_of = [0] * m

@@ -198,14 +198,15 @@ def intermediate_phase(
     return BackwardState(best_target, target_count, edge_tc, edge_count, touched, [])
 
 
-def terminal_shares(back: BackwardState, source: int) -> list[int]:
-    """Set ``back.denom`` to L, the lcm of the target counts of every
-    node but ``source``, and return L // target_count[v] per node (0 for
-    the source and unreached nodes): the dependency, times L, of an edge
-    ending a target-optimal walk to v.  Only the nodes in
+def terminal_shares(back: BackwardState, source: int,
+                    targets: frozenset[int] | None = None) -> list[int]:
+    """Set ``back.denom`` to L, the lcm of the target counts of the nodes
+    in ``targets`` (None: all) but ``source``, and return L // count per
+    such node, else 0: for both engines, the dependency, times L, of an
+    edge ending a target-optimal walk to it.  Only the nodes in
     ``back.touched`` have a target count, so only they are visited."""
     counts = back.target_count
-    reached = [v for v in back.touched if v != source]
+    reached = [v for v in back.touched if v != source and (targets is None or v in targets)]
     denom = 1
     # latest-reached first: where walk counts grow along the scan, as on
     # a ladder, most earlier counts then divide the running lcm
@@ -224,6 +225,7 @@ def backward_phase(
     source: int,
     fwd: ForwardState,
     back: BackwardState,
+    targets: frozenset[int] | None = None,
 ) -> list[int]:
     """Per-edge betweenness numerators for one source, by the successor
     recursion over per-walk dependencies times ``back.denom``.
@@ -239,7 +241,7 @@ def backward_phase(
     """
     n = rep.graph.n
     m = rep.m
-    share = terminal_shares(back, source)
+    share = terminal_shares(back, source, targets)
     dep = [0] * m  # per-walk dependency of each edge, times back.denom
     edge_bc = [0] * m
     back.node_num = node_num = [0] * n
@@ -281,9 +283,10 @@ def single_source_edge_betweenness(
     rep: SortedRepresentation,
     source: int,
     criterion: Criterion,
+    targets: frozenset[int] | None = None,
 ) -> tuple[list[int], BackwardState]:
-    """The passes for one source; returns (edge score numerators over
-    ``back.denom``, counts)."""
+    """The passes for one source, over walks to ``targets``; returns
+    (edge score numerators over ``back.denom``, counts)."""
     if criterion.name not in CRITERIA:
         raise ValueError(
             f"non-restless engine supports sh and sfo, not {criterion.name!r}"
@@ -294,4 +297,4 @@ def single_source_edge_betweenness(
                              fwd.touched, [])
     else:
         back = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, criterion, fwd.start)
-    return backward_phase(rep, source, fwd, back), back
+    return backward_phase(rep, source, fwd, back, targets), back

@@ -341,6 +341,7 @@ def restless_backward(
     criterion: Criterion,
     fwd: RestlessScan,
     back: BackwardState,
+    targets: frozenset[int] | None = None,
 ) -> list[int]:
     """Per-edge betweenness numerators over ``back.denom`` from the
     recorded successor windows; a reached edge whose target value is its
@@ -361,7 +362,7 @@ def restless_backward(
     edge_tc, best_target = back.edge_tc, back.best_target
     window_ops = 0
 
-    share = terminal_shares(back, source)
+    share = terminal_shares(back, source, targets)
     dep = [0] * m  # per-walk dependency of each edge, times back.denom
     edge_bc = [0] * m
     back.node_num = node_num = [0] * n
@@ -412,11 +413,12 @@ def single_source_edge_betweenness(
     source: int,
     criterion: Criterion,
     beta: int | None,
+    targets: frozenset[int] | None = None,
     debug_invariants: bool = False,
 ) -> tuple[list[int], BackwardState]:
-    """All three phases for one source under any criterion and bound;
-    returns (edge score numerators over ``back.denom``, counts)."""
+    """All three phases for one source, any criterion and bound, over walks
+    to ``targets``; returns (edge score numerators over ``back.denom``, counts)."""
     fwd = restless_forward(rep, source, criterion, beta, debug_invariants)
     back = BackwardState(fwd.best_target, fwd.target_count, fwd.edge_tc, fwd.edge_count,
                          fwd.touched, [])
-    return restless_backward(rep, source, criterion, fwd, back), back
+    return restless_backward(rep, source, criterion, fwd, back, targets), back

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from tempobet import restless
-from tempobet.graph import TemporalEdge, TemporalGraph
+from tempobet.driver import revisit_continuations, single_source_edge_betweenness
+from tempobet.graph import TemporalEdge, TemporalGraph, build_sorted_representation
 from tempobet.oracle import g_loop, g_toy
 
 #: ``restless.PUSH_MEAN_WINDOW`` values that force each forward path on a
@@ -103,3 +104,34 @@ def check_target_record(rep, source, back, orc) -> None:
     for v in range(rep.graph.n):
         if v != source:
             assert back.target_count[v] == orc.sigma_star_st.get((source, v), 0), (source, v)
+
+
+def direct_latest_departure(graph: TemporalGraph, crit_name: str, beta,
+                            sources=None) -> list[Fraction]:
+    """la or sla node scores aggregated on G itself, a test reference for
+    ``node_betweenness``, which runs them as fo and sfo on the reversed
+    graph: per source, the engine's own la or sla run, its in-edge sums
+    less each node-as-target share, summed as Fractions.  An la walk may
+    revisit its target, so its share also counts the continuations that
+    end back at the target (``driver.revisit_continuations``); an sla
+    walk cannot, as its prefix has fewer edges."""
+    rep = build_sorted_representation(graph)
+    revisit = []
+    if crit_name == "la":
+        revisit = [(k, c) for k, c in enumerate(revisit_continuations(rep, beta)) if c]
+    totals = [Fraction(0)] * graph.n
+    for source in range(graph.n) if sources is None else sources:
+        _, back = single_source_edge_betweenness(rep, source, crit_name, beta)
+        denom, num = back.denom, back.node_num
+        for u in back.touched:
+            num[u] -= denom
+        for k, cont in revisit:
+            u = rep.heads[k]
+            # an unreached edge and an unreached node both read None
+            if u != source and back.edge_count[k] and back.edge_tc[k] == back.best_target[u]:
+                num[u] -= back.edge_count[k] * cont * (denom // back.target_count[u])
+        num[source] = 0
+        for u in back.touched:
+            if num[u]:
+                totals[u] += Fraction(num[u], denom)
+    return totals

@@ -10,12 +10,13 @@ from fractions import Fraction as F
 import pytest
 
 import tempobet
-from tempobet.costs import ConfigError, Criterion, get_criterion
+from tempobet.costs import CRITERION_NAMES, ConfigError, Criterion, get_criterion
 from tempobet.driver import (
     BLOCK,
     _add_scaled,
     _block_sums,
     node_betweenness,
+    revisit_continuations,
     single_source_edge_betweenness,
 )
 from tempobet.estimator import TemporalBetweenness
@@ -27,7 +28,7 @@ from tempobet.graph import (
 )
 from tempobet.oracle import oracle_betweenness
 
-from conftest import make_random_graph
+from conftest import direct_latest_departure, make_random_graph
 
 
 def test_no_edges_all_zero(toy):
@@ -53,7 +54,7 @@ def test_matches_oracle_node_scores_all_criteria():
     rng = random.Random(53)
     for _ in range(8):
         g = make_random_graph(rng, n_max=6, m_max=14)
-        for crit_name in ("sh", "fa", "sla"):
+        for crit_name in CRITERION_NAMES:
             for beta in (1, None):
                 got = node_betweenness(g, crit_name, beta).values
                 want = oracle_betweenness(g, get_criterion(crit_name), beta).node_bc
@@ -93,6 +94,26 @@ def test_source_subset_additivity():
     assert half_a.source_count + half_b.source_count == g.n
 
 
+@pytest.mark.parametrize("crit_name", ["la", "sla"])
+def test_latest_departure_source_subsets_match_direct_reference(crit_name):
+    """la and sla run on the reversed graph from every node, with the
+    sources as its targets; any source subset must give the scores of
+    la or sla aggregated over those sources on the graph itself."""
+    rng = random.Random(67)
+    revisits = 0
+    for _ in range(40):
+        g = make_random_graph(rng)
+        rep = build_sorted_representation(g)
+        for beta in (None, 0, 2):
+            revisits += any(revisit_continuations(rep, beta))
+            for sources in (range(0, g.n, 2), range(1, g.n, 2), [rng.randrange(g.n)], []):
+                got = node_betweenness(g, crit_name, beta, sources=sources)
+                want = direct_latest_departure(g, crit_name, beta, sources)
+                assert got.values == want, (g.edges, beta, list(sources))
+                assert got.source_count == len(sources) and got.criterion == crit_name
+    assert revisits >= 10  # the corpus holds la walks that revisit their target
+
+
 @pytest.fixture(scope="module")
 def many_blocks() -> TemporalGraph:
     # 60 sources make four blocks; departures up to 100 give la revisits
@@ -117,6 +138,22 @@ def test_block_sums_invariant_and_additive(many_blocks, crit_name, beta):
         assert node_betweenness(g, crit_name, beta, mode="fast", workers=workers).values == fast
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_latest_departure_target_sets_add_up(many_blocks, workers):
+    """la over three disjoint source sets, each a target set of the
+    reversed graph that spans all four blocks, adds up to the full run,
+    which equals the direct aggregation with the revisit table."""
+    g = many_blocks
+    rep = build_sorted_representation(g)
+    assert any(revisit_continuations(rep, 2))
+    full = node_betweenness(g, "la", 2, workers=workers).values
+    assert full == direct_latest_departure(g, "la", 2)
+    parts = [node_betweenness(g, "la", 2, sources=range(r, g.n, 3), workers=workers).values
+             for r in range(3)]
+    assert [a + b + c for a, b, c in zip(*parts)] == full
+    assert parts[1] == direct_latest_departure(g, "la", 2, range(1, g.n, 3))
+
+
 def test_merge_rescales_running_lcm(many_blocks):
     """Block sums are merged as ints over one running lcm; a block whose
     D does not divide it rescales the totals, and each node's Fraction
@@ -124,7 +161,7 @@ def test_merge_rescales_running_lcm(many_blocks):
     g = many_blocks
     rep = build_sorted_representation(g)
     crit = get_criterion("sh")
-    config = (rep, crit, None, "auto", [])
+    config = (rep, crit, None, "auto", None)
     want = [F(0)] * g.n
     lcm, rescales = 1, 0
     for i in range(0, g.n, BLOCK):
@@ -261,8 +298,9 @@ def test_single_source_bad_input_raises_config_error(toy, source, beta):
 )
 def test_bad_graph_raises_config_error(edge, match):
     g = TemporalGraph(3, [TemporalEdge(1, 2, 5, 1), edge])
-    with pytest.raises(ConfigError, match=match):
-        node_betweenness(g, "fo")
+    for crit_name in ("fo", "la"):  # la checks G before reversing it
+        with pytest.raises(ConfigError, match=match):
+            node_betweenness(g, crit_name)
 
 
 def test_zero_travel_cycle_raises_config_error():

@@ -15,9 +15,11 @@ leaves no quintuple and no cost on an unreached edge, and a head's
 successor windows, in reverse arrival order, only move left while their
 extended cost stays the same.  Backward's node sums are checked on
 both forward paths.  Time reversal relates two criteria on two graphs,
-on small graphs and at benchmark scale, which checks la's revisit
-correction past the oracle's reach.  A run's traced memory peak must
-not grow with its number of sources.
+on small graphs and at benchmark scale; as runs take la and sla on the
+reversed graph, their scores are also checked against la and sla
+aggregated on the graph itself (conftest.direct_latest_departure), past
+the oracle's reach.  A run's traced memory peak must not grow with its
+number of sources.
 """
 from __future__ import annotations
 
@@ -41,7 +43,12 @@ from tempobet.nonrestless import single_source_edge_betweenness as nonrestless_r
 from tempobet.restless import restless_forward
 from tempobet.restless import single_source_edge_betweenness as restless_run
 
-from conftest import make_random_graph, perfbench_workloads, restless_paths
+from conftest import (
+    direct_latest_departure,
+    make_random_graph,
+    perfbench_workloads,
+    restless_paths,
+)
 
 SOURCES = [0, 7, 42]
 RUNS = [("sh", None), ("sfo", None), ("sfa", 10), ("fa", 4)]
@@ -304,7 +311,9 @@ def _reversed(g: TemporalGraph) -> TemporalGraph:
 def test_time_reversal_duality_small_graphs():
     """Every criterion on G scores as its dual on Gᴿ, at every bound; the
     continuation pairs map one-to-one, so the window tables have equal
-    totals and both runs take the same restless forward path."""
+    totals and both runs take the same restless forward path.  la and
+    sla, which runs take on the reversed graph, also equal their direct
+    aggregation on G."""
     for seed in range(60):
         g = random_temporal_graph(6, 12, 6, seed, travel_max=2)
         r = _reversed(g)
@@ -312,8 +321,10 @@ def test_time_reversal_duality_small_graphs():
         for beta in (None, 0, 1, 3):
             assert rep_g.window_total(beta) == rep_r.window_total(beta), (seed, beta)
             for crit_name, dual in TIME_DUAL.items():
-                assert (node_betweenness(g, crit_name, beta).values
-                        == node_betweenness(r, dual, beta).values), (seed, crit_name, beta)
+                got = node_betweenness(g, crit_name, beta).values
+                assert got == node_betweenness(r, dual, beta).values, (seed, crit_name, beta)
+                if crit_name in ("la", "sla"):
+                    assert got == direct_latest_departure(g, crit_name, beta), (seed, beta)
 
 
 @pytest.mark.parametrize("graph_args, beta, crit_name, push", [
@@ -324,7 +335,9 @@ def test_time_reversal_duality_small_graphs():
 def test_time_reversal_duality_at_benchmark_scale(graph_args, beta, crit_name, push, monkeypatch):
     """The duality over all sources, on the benchmark's seed-1 ladder (read
     from perfbench, which is not changed) and on uniform graphs, through
-    the named restless forward path."""
+    the named restless forward path.  la is run on the reversed graph, so
+    the la side is checked against its direct aggregation on its own
+    graph, with the revisit table, which is independent of the fo run."""
     if graph_args == "ladder":
         workloads = perfbench_workloads(monkeypatch)
         ladder = workloads.WORKLOADS["ladder-la-2w"]
@@ -336,8 +349,10 @@ def test_time_reversal_duality_at_benchmark_scale(graph_args, beta, crit_name, p
     rep = build_sorted_representation(g)
     assert restless.pushes(rep, beta) is push
     assert rep.window_total(beta) == build_sorted_representation(r).window_total(beta)
-    want = node_betweenness(g, crit_name, beta).values
+    la_graph = g if crit_name == "la" else r
+    want = direct_latest_departure(la_graph, "la", beta)
     assert sum(1 for x in want if x) > g.n // 2
+    assert node_betweenness(g, crit_name, beta).values == want
     assert node_betweenness(r, TIME_DUAL[crit_name], beta).values == want
 
 
