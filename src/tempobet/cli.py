@@ -25,11 +25,10 @@ import time
 from fractions import Fraction
 
 from .costs import ConfigError, get_criterion
-from .driver import check_beta, node_betweenness, single_source_edge_betweenness
+from .driver import check_beta, node_betweenness, run_plan, single_source_edge_betweenness
 from .graph import (
     ParseError,
     TemporalGraph,
-    build_sorted_representation,
     parse_edge_list,
     underlying_graph,
 )
@@ -184,13 +183,12 @@ def cmd_bench(args) -> int:
     if args.reps < 1:
         raise ConfigError(f"--reps must be at least 1, got {args.reps}")
     graph = _read_graph(args.input, args.undirected)
-    rep = build_sorted_representation(graph)
-    if args.sources is None:
-        # default: a small seeded sample, enough for per-source timing
-        sample = sorted(random.Random(args.seed).sample(range(graph.n), min(graph.n, 3)))
+    if args.sources is None:  # default: a small seeded sample, enough for per-source timing
+        sample = random.Random(args.seed).sample(range(graph.n), min(graph.n, 3))
     else:
-        sources = _parse_sources(args.sources, graph)
-        sample = range(graph.n) if sources is None else sources
+        sample = _parse_sources(args.sources, graph)  # None: every node
+    # the engine runs that compute makes: la and sla run on Gᴿ, to the sample
+    rep, crit, sample, targets = run_plan(graph, crit, sample)
     start = time.perf_counter()
     rep.windows(beta)  # built once per run, outside every per-source timing below
     windows_seconds = time.perf_counter() - start
@@ -198,7 +196,7 @@ def cmd_bench(args) -> int:
     for r in range(args.reps):
         start = time.perf_counter()
         for s in sample:
-            single_source_edge_betweenness(rep, s, crit, beta)
+            single_source_edge_betweenness(rep, s, crit, beta, "auto", targets)
         times.append(time.perf_counter() - start)
         print(f"rep {r} seconds {times[-1]:.6f}")
     median = statistics.median(times)
@@ -215,16 +213,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, output=True):
+    def add_io(p, output=True, criterion=True):
         p.add_argument("--input", required=True, help="edge-list file")
         if output:
             p.add_argument("--output", default=None, help="CSV output (default stdout)")
         p.add_argument("--undirected", action="store_true", help="add both orientations")
+        if criterion:
+            p.add_argument("--criterion", default="sh")
+            p.add_argument("--beta", default="inf", type=_int_token)
 
     p = sub.add_parser("compute", help="node betweenness via the fast engines")
     add_io(p)
-    p.add_argument("--criterion", default="sh")
-    p.add_argument("--beta", default="inf", type=_int_token)
     p.add_argument("--mode", default="exact", choices=["exact", "fast"])
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--sources", default="all")
@@ -232,12 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="node betweenness via brute force")
     add_io(p)
-    p.add_argument("--criterion", default="sh")
-    p.add_argument("--beta", default="inf", type=_int_token)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("static", help="Brandes betweenness of the underlying graph")
-    add_io(p)
+    add_io(p, criterion=False)
     p.set_defaults(func=cmd_static)
 
     p = sub.add_parser("compare", help="correlation between two score CSVs")
@@ -249,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="median timing of per-source runs")
     add_io(p, output=False)
-    p.add_argument("--criterion", default="sh")
-    p.add_argument("--beta", default="inf", type=_int_token)
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sources", help="labels to time, or all (default: a seeded sample of 3)")

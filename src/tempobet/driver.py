@@ -3,11 +3,8 @@
 A node's score is, over every other source, the sum of the scores of
 its incoming edges minus that source's node-as-target share: 1 whenever
 the node is reachable, as an optimal walk's prefix would beat any
-revisit of its target.  Latest-departure walks keep their score when
-extended, so la and sla run as fo and sfo (TIME_DUAL) on the
-time-reversed graph Gᴿ, whose sorted representation replaces G's; a
-source subset of G becomes a target set of Gᴿ (``targets``), in which
-every node is a source.
+revisit of its target.  la and sla, whose walks keep their score when
+extended, run as fo and sfo on the time-reversed graph (run_plan).
 
 Per source, the engines return int numerators over one denominator,
 summed per head node by backward (``back.node_num``).  One rule merges
@@ -29,7 +26,8 @@ from typing import Sequence
 
 from . import nonrestless, restless
 from .costs import ConfigError, Criterion, get_criterion
-from .graph import SortedRepresentation, TemporalGraph, build_sorted_representation, time_reversed
+from .graph import SortedRepresentation, TemporalGraph
+from .graph import build_sorted_representation, reversed_representation
 
 
 @dataclass
@@ -122,23 +120,15 @@ def single_source_edge_betweenness(
 
 def revisit_continuations(rep: SortedRepresentation, beta: int | None) -> list[int]:
     """For each edge e, the number of walk continuations of e that end
-    back at e's own head: la's exact node-as-target share on G, as its
-    walks may revisit their target.  Runs take la on Gᴿ (TIME_DUAL).
+    back at e's own head: la's node-as-target share on G, where walks may
+    revisit their target.  No run reads it, as la runs on Gᴿ (run_plan).
 
-    Counts are computed per head node u, in reverse arrival order, from
-    each edge's continuation window: the positions of its head's
-    by-departure list that it can extend, read from the run's table
-    (``rep.windows``).  A continuation of an in-edge of u departs no earlier
-    than that edge arrives, so it arrives strictly after u's first
-    in-edge, and it ends with an in-edge of u: only the arrival
-    positions from u's first to u's last in-edge take part, and a head
-    with one in-edge has no continuation at all.  Inside the span, an
-    edge whose head has no out-edge continuing to u yet is skipped.
-    Going to earlier arrivals a node's windows only move left, so its
-    running sum slides by two slices, and is rebuilt when the new window
-    lies left of the old one or was built for another head.  The cost is
-    the sum over heads of these arrival spans: on graphs whose nodes
-    receive edges throughout the time span it is still O(M) per head.
+    Per head u, edges are taken in reverse arrival order over the span from
+    u's first to its last in-edge (a continuation arrives after the first
+    and ends with an in-edge of u), skipping those whose head cannot yet
+    continue to u, and each sums its window (``rep.windows``): going left,
+    a node's window slides by two slices, or is rebuilt when it lies left
+    of the old one or was built for another head.
     """
     m, n = rep.m, rep.graph.n
     tails, heads, e_dep_node = rep.tails, rep.heads, rep.e_dep_node
@@ -196,6 +186,22 @@ TIME_DUAL = {"la": "fo", "sla": "sfo"}
 #: touched node and block; the size is fixed so that the blocks, and with
 #: them the results, do not depend on the worker count.
 BLOCK = 16
+
+
+def run_plan(graph: TemporalGraph, crit: Criterion, sources: Sequence[int] | None):
+    """(rep, criterion, sources, targets) that a run over ``sources`` (None:
+    all, checked here) solves, targets None for every node.  la and sla run
+    as TIME_DUAL on Gᴿ, whose sorted representation replaces G's; a subset
+    S becomes the targets of a run from every node with an out-edge in Gᴿ
+    kept to the edges of walks from S."""
+    src_list = sorted(_check_sources(graph, sources))
+    if crit.name not in TIME_DUAL:
+        return build_sorted_representation(graph), crit, src_list, None
+    targets = frozenset(src_list) if 0 < len(src_list) < graph.n else None
+    rep = reversed_representation(graph, targets)
+    if targets is not None:
+        src_list = [v for v in range(graph.n) if rep.e_dep_node[v]]
+    return rep, get_criterion(TIME_DUAL[crit.name]), src_list, targets
 
 
 def _add_scaled(total: list[int], lcm: int, d: int, items) -> int:
@@ -279,8 +285,7 @@ def node_betweenness(
 
     ``sources`` defaults to all nodes; passing a subset computes the
     partial sums over just those sources (the result is additive over
-    disjoint source sets); la and sla run as fo and sfo on Gᴿ from every
-    node, to the sources.  ``mode`` picks the output type only: the
+    disjoint source sets).  ``mode`` picks the output type only: the
     computation is exact either way, and each node's score is a
     Fraction ("exact") or the nearest float of that Fraction ("fast").
     Every argument is checked here, and a bad one raises ConfigError;
@@ -293,16 +298,10 @@ def node_betweenness(
     crit = _resolve_criterion(criterion)
     beta = check_beta(beta)
     _pick_engine(crit, beta, engine)
-    src_list = _check_sources(graph, sources)
     if len(graph.labels) != graph.n or len(set(graph.labels)) != graph.n:
         raise ConfigError(f"a graph of {graph.n} nodes needs {graph.n} distinct labels")
 
-    run_crit, run_sources, targets = crit, sorted(src_list), None
-    if crit.name in TIME_DUAL:  # labels and node ids are kept
-        graph, run_crit = time_reversed(graph), get_criterion(TIME_DUAL[crit.name])
-        if 0 < len(src_list) < graph.n:
-            run_sources, targets = list(range(graph.n)), frozenset(src_list)
-    rep = build_sorted_representation(graph)
+    rep, run_crit, run_sources, targets = run_plan(graph, crit, sources)
     rep.windows(beta)  # built before any worker starts, so every worker receives it
     blocks = [run_sources[i:i + BLOCK] for i in range(0, len(run_sources), BLOCK)]
     nums, lcm = [0] * graph.n, 0
@@ -312,4 +311,5 @@ def node_betweenness(
     values = [Fraction(x, lcm or 1) for x in nums]  # lcm 0: no source
     if mode == "fast":
         values = [float(v) for v in values]
-    return NodeBetweenness(list(graph.labels), values, crit.name, beta, len(src_list), mode)
+    count = len(run_sources if targets is None else targets)
+    return NodeBetweenness(list(graph.labels), values, crit.name, beta, count, mode)

@@ -231,15 +231,31 @@ def _checked_arrivals(graph: TemporalGraph) -> list[int]:
     return arr_of
 
 
-def time_reversed(graph: TemporalGraph) -> TemporalGraph:
-    """Gᴿ, with G's nodes, labels and edge order: edge (u, v, dep, travel)
-    becomes (v, u, T - arr, travel), T above every arrival, so a walk from
-    s to t becomes one from t to s with the same waits; raises ConfigError
-    as build_sorted_representation(graph) would."""
-    arr_of = _checked_arrivals(graph)
-    t = max(arr_of, default=0) + 1
-    edges = [TemporalEdge(h, u, t - a, tr) for (u, h, _, tr), a in zip(graph.edges, arr_of)]
-    return TemporalGraph(graph.n, edges, graph.labels, graph.label_ids)
+def reversed_representation(
+    graph: TemporalGraph, sources: frozenset | None = None
+) -> SortedRepresentation:
+    """Gᴿ's sorted representation, with G's nodes, labels and edge order:
+    edge (u, v, dep, travel) becomes (v, u, T - arr, travel), T above every
+    arrival, so a walk from s to t becomes one from t to s with the same
+    waits.  With ``sources``, only the edges that walks from them take are
+    kept.  Raises ConfigError as build_sorted_representation(graph) would."""
+    arr_of, edges, ids = _checked_arrivals(graph), graph.edges, range(graph.m)
+    if sources is not None:  # the edges of walks from them that wait at will
+        reached = [-math.inf if v in sources else math.inf for v in range(graph.n)]
+        taken = []
+        # by departure: an edge scanned later arrives after this one departs
+        for i in sorted(ids, key=lambda i: edges[i][2]):
+            tail, head, dep, _ = edges[i]
+            if reached[tail] <= dep:  # reached: earliest arrival
+                taken.append(i)
+                reached[head] = min(reached[head], arr_of[i])
+        ids = sorted(taken)
+    t, first, rev, rev_arr = max(arr_of, default=0) + 1, {}, [], []
+    for i in ids:
+        u, h, d, tr = edges[i]
+        rev.append(tuple.__new__(TemporalEdge, (h, u, t - arr_of[i], tr)))
+        rev_arr.append(first.setdefault(t - d, t - d))  # its arrival, shared
+    return _indexed(TemporalGraph(graph.n, rev, graph.labels, graph.label_ids), rev_arr)
 
 
 def build_sorted_representation(graph: TemporalGraph) -> SortedRepresentation:
@@ -248,8 +264,12 @@ def build_sorted_representation(graph: TemporalGraph) -> SortedRepresentation:
     Raises ConfigError as _checked_arrivals does.  e_dep_node's positions
     are e_arr's own objects: both sorts order one ``list(range(m))``.
     """
+    return _indexed(graph, _checked_arrivals(graph))
+
+
+def _indexed(graph: TemporalGraph, arr_of: list[int]) -> SortedRepresentation:
+    """build_sorted_representation of a checked graph, ``arr_of`` its arrivals."""
     n, m, edges = graph.n, graph.m, graph.edges
-    arr_of = _checked_arrivals(graph)
     # temporaries go once used: the build peaks near what the index keeps
     ids = list(range(m))  # one int object per index, for e_arr and e_dep_node
     order_arr = sorted(ids, key=arr_of.__getitem__)

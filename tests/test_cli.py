@@ -239,6 +239,32 @@ def test_bench_times_window_table_only(capsys, tmp_path, criterion):
     assert len(windows) == 1 and float(windows[0].split()[1]) >= 0
 
 
+@pytest.mark.parametrize("criterion, dual", [("la", "fo"), ("sla", "sfo")])
+def test_bench_times_the_runs_compute_makes(capsys, tmp_path, monkeypatch, criterion, dual):
+    """For la and sla, bench times the runs that compute makes: the dual on
+    the reversed loop graph, to the chosen source x, from every node that
+    keeps an out-edge once only the edges of walks from x are kept (a->x
+    is not one, so a is no source)."""
+    from tempobet import cli
+
+    p = tmp_path / "loop.edges"
+    p.write_text(LOOP)
+    calls = []
+    original = cli.single_source_edge_betweenness
+
+    def recording(rep, s, crit, beta, engine, targets):
+        calls.append((s, crit.name, targets))
+        return original(rep, s, crit, beta, engine, targets)
+
+    monkeypatch.setattr(cli, "single_source_edge_betweenness", recording)
+    code, _, _ = run(capsys, "bench", "--input", str(p), "--criterion", criterion,
+                     "--beta", "2", "--sources", "x")
+    assert code == 0
+    assert calls == [(s, dual, frozenset({1})) for s in (1, 2, 3)]  # x, y, z
+    code, _, err = run(capsys, "bench", "--input", str(p), "--sources", "x,x")
+    assert code == 3 and "repeat" in err
+
+
 @pytest.mark.parametrize("reps", ["0", "-1"])
 def test_bench_rejects_reps_below_one(capsys, tmp_path, reps):
     p = tmp_path / "chain.edges"

@@ -18,9 +18,11 @@ from tempobet.graph import (
     build_sorted_representation,
     parse_edge_list,
     random_temporal_graph,
+    reversed_representation,
     to_edge_list,
     underlying_graph,
 )
+from tempobet.oracle import enumerate_walks
 
 from conftest import make_random_graph
 
@@ -212,6 +214,43 @@ def test_rep_keeps_one_int_object_per_value():
     assert len({id(t) for t in rep.arrs}) == len(set(rep.arrs)) < rep.m
     positions = {id(p) for p in rep.e_arr}
     assert all(id(p) in positions for lst in rep.e_dep_node for p in lst)
+
+
+def _rep_fields(rep):
+    return (rep.graph.edges, rep.e_arr, rep.e_dep_node, rep.dep_times, rep.e_arr_dep,
+            rep.tails, rep.heads, rep.arrs)
+
+
+def test_reversed_representation_is_the_reversed_graphs():
+    """With no sources, the index is build_sorted_representation's of Gᴿ
+    written out edge by edge: (u, v, dep, travel) -> (v, u, T - arr, travel)."""
+    rng = random.Random(5)
+    for g in [random_temporal_graph(200, 3000, 600, 1)] + [make_random_graph(rng) for _ in range(30)]:
+        t = max(e.arr for e in g.edges) + 1
+        r = TemporalGraph(g.n, [TemporalEdge(e.head, e.tail, t - e.arr, e.travel)
+                                for e in g.edges], g.labels)
+        rep = reversed_representation(g)
+        assert _rep_fields(rep) == _rep_fields(build_sorted_representation(r))
+        assert rep.graph.labels == g.labels and rep.graph.label_ids == g.label_ids
+
+
+def test_reversed_representation_keeps_the_edges_of_walks_from_sources():
+    """With sources, Gᴿ holds exactly the edges that some unbounded walk
+    from them takes (the oracle's enumeration), in G's order."""
+    rng = random.Random(41)
+    kept_some = dropped_some = 0
+    for _ in range(60):
+        g = make_random_graph(rng)
+        t = max(e.arr for e in g.edges) + 1
+        for sources in ({0}, set(range(0, g.n, 2)), {rng.randrange(g.n)}, set()):
+            used = sorted({i for s in sources for w in enumerate_walks(g, s) for i in w})
+            want = [TemporalEdge(g.edges[i].head, g.edges[i].tail, t - g.edges[i].arr,
+                                 g.edges[i].travel) for i in used]
+            rep = reversed_representation(g, frozenset(sources))
+            assert rep.graph.edges == want, (g.edges, sources)
+            kept_some += 0 < len(used)
+            dropped_some += len(used) < g.m
+    assert kept_some > 50 and dropped_some > 50
 
 
 def _assert_rep_invariants(g: TemporalGraph):
