@@ -49,8 +49,8 @@ class NodeBetweenness:
 
 
 def _resolve_criterion(criterion: str | Criterion) -> Criterion:
-    """A criterion name, or one of the table's own Criterion objects:
-    workers and engine choice go by name, so no other object is valid."""
+    """A criterion name or the table's own Criterion object: workers, time
+    reversal and the lean fo source go by name, so no other is valid."""
     if not isinstance(criterion, Criterion):
         return get_criterion(criterion)
     if criterion is not get_criterion(criterion.name):
@@ -83,14 +83,13 @@ def _check_sources(graph: TemporalGraph, sources: Sequence[int] | None) -> list[
     return src_list
 
 
-def _pick_engine(criterion: Criterion, beta: int | None, engine: str) -> str:
-    lean = beta is None and criterion.name in nonrestless.CRITERIA
+def _pick_engine(beta: int | None, engine: str) -> str:
     if engine == "auto":
-        return "nonrestless" if lean else "restless"
+        return "nonrestless" if beta is None else "restless"
     if engine not in ("nonrestless", "restless"):
         raise ConfigError(f"unknown engine {engine!r}; expected auto, nonrestless or restless")
-    if engine == "nonrestless" and not lean:
-        raise ConfigError("nonrestless engine requires beta=inf and sh/sfo")
+    if engine == "nonrestless" and beta is not None:
+        raise ConfigError("nonrestless engine requires beta=inf")
     return engine
 
 
@@ -112,8 +111,7 @@ def single_source_edge_betweenness(
     crit = _resolve_criterion(criterion)
     beta = check_beta(beta)
     _check_sources(rep.graph, [source])
-    which = _pick_engine(crit, beta, engine)
-    if which == "nonrestless":
+    if _pick_engine(beta, engine) == "nonrestless":
         return nonrestless.single_source_edge_betweenness(rep, source, crit, targets)
     return restless.single_source_edge_betweenness(rep, source, crit, beta, targets)
 
@@ -297,7 +295,7 @@ def node_betweenness(
         raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     crit = _resolve_criterion(criterion)
     beta = check_beta(beta)
-    _pick_engine(crit, beta, engine)
+    _pick_engine(beta, engine)
     if len(graph.labels) != graph.n or len(set(graph.labels)) != graph.n:
         raise ConfigError(f"a graph of {graph.n} nodes needs {graph.n} distinct labels")
 

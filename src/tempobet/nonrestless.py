@@ -1,23 +1,21 @@
-"""Single-source betweenness engine for unrestricted waiting (hop costs).
+"""Single-source betweenness engine for unrestricted waiting (any criterion).
 
-Handles the fewest-edges ("sh") and earliest-arrival-then-fewest-edges
-("sfo") criteria when the waiting bound is infinite, in passes over the
-by-arrival edge order; an sh source takes only the first and the last:
+Two passes over the by-arrival edge order:
 
-forward   -- for every edge e, the minimum hop count edge_cost[e] over
-             walks ending with e and the exact number edge_count[e] of
-             such walks.  Works because an edge appended to a walk always
-             arrives strictly later than the walk it extends, so the
-             by-arrival order is a topological order of walk extension.
-intermediate (sfo only) -- per-node optimal target values and their
-             counts; for sh, forward's optima.
+forward   -- for every edge e, the optimal cost edge_cost[e] over walks
+             ending with e and their exact number edge_count[e], and per
+             node its optimal target value and count.  An edge appended
+             to a walk arrives strictly later than the walk, so the
+             by-arrival order is a topological order of walk extension;
+             as ``extend`` is strictly isotone, an out-edge finalised at
+             its tail's running optimum costs that optimum's extension.
 backward  -- edge betweenness via the successor recursion (Brandes-style
              dependency accumulation): an edge's per-walk dependency is
              the sum of its successors' plus a terminal share when the
              edge itself ends a target-optimal walk; its score is its
              walk count times that dependency.
 
-Costs here are plain ints (hop counts); unreachable is None.  All
+Costs are the criterion's (``costs``); unreachable is None.  All
 arithmetic is on exact ints: with L = ``back.denom``, the lcm of the
 target counts of the nodes the source reaches, every per-walk
 dependency times L is an int, and the engines return edge scores as
@@ -28,11 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .costs import Criterion
+from .costs import Criterion, _folded, get_criterion
 from .graph import SortedRepresentation
-
-#: The criteria this engine runs, at an infinite waiting bound only.
-CRITERIA = ("sh", "sfo")
 
 
 @dataclass
@@ -43,15 +38,21 @@ class ForwardState:
     ``live`` lists, in scan order, the position of every edge that ended
     an optimal walk to its head at scan time; its successors start at its
     window start in the run's table (``rep.windows(None)``).  No other
-    edge has successors, nor (the head's optimum only falls) ends a
-    target-optimal walk under sh or sfo.
-    ``touched`` lists the nodes with a walk, in first-walk order.
+    edge has successors, nor ends a target-optimal walk: a live edge to
+    its head arrived no later at a lower cost, and ``tc`` rises with the
+    cost and never falls with the arrival.  The target lists fold in live
+    edges; for sh, la and sla they are the cost lists.  ``touched`` lists
+    the nodes with a reached in-edge, in first-walk order.
     """
 
-    best_cost: list[int | None]
+    ext_of: dict  # each live edge's cost -> its extension, for backward
+    best_cost: list
     best_count: list[int]
-    edge_cost: list[int | None]
+    edge_cost: list
     edge_count: list[int]
+    best_target: list
+    target_count: list[int]
+    edge_tc: list
     live: list[int]
     touched: list[int]
     start: int  # no position below it is reached
@@ -64,10 +65,9 @@ class BackwardState:
     ``edge_tc`` and ``edge_count`` are the engine's own per-edge lists:
     an edge with a count ends that many walks to its head, and they are
     target-optimal exactly when its target value equals the head's
-    ``best_target``.  Lean sh runs pass forward's hop costs and optima,
-    which are their target values.  ``touched`` lists, once each, the
-    nodes with a target count.  ``node_num[v]`` (set by backward) sums
-    v's in-edge scores times the int ``denom``.
+    ``best_target``.  ``touched`` lists, once each, the nodes with a
+    target count.  ``node_num[v]`` (set by backward) sums v's in-edge
+    scores times the int ``denom``.
     """
 
     best_target: list[object]
@@ -79,38 +79,48 @@ class BackwardState:
     denom: int = 1
 
 
-def forward_phase(rep: SortedRepresentation, source: int) -> ForwardState:
-    """Scan edges by arrival, counting minimum-hop walks from ``source``.
+def forward_phase(rep: SortedRepresentation, source: int,
+                  criterion: Criterion = get_criterion("sh")) -> ForwardState:
+    """Scan edges by arrival, counting optimal walks from ``source``.
 
     An out-edge of v is "finalised" the moment no later-scanned walk can
-    still be extended by it; at that moment the node's running optimum
-    (best_cost, best_count) is exactly the optimum over the walks it can
-    extend.  Tail side: scanning e finalises every earlier-departing
-    out-edge of its tail, e included.  Head side: when e ends an optimal
-    walk to its head, out-edges departing before arr(e) are finalised and
-    the node optimum absorbs e's walks.  The source's out-edges start
-    finalised as single-edge walks: no walk back through the source beats them.
-    Head-side window starts come from the run's table (``rep.windows``).
-    Only the source's frontier, set past all its out-edges, can lie beyond
-    one; backward's window over those edges adds nothing, as they cost 1
-    and every successor costs at least 2.
+    still be extended by it; it then gets the extension of v's running
+    optimum (best_cost, best_count, the extension cached in ``ext``),
+    which is exactly the optimum over the walks it can extend.  Tail side:
+    scanning e finalises every earlier-departing out-edge of its tail, e
+    included.  Head side: when e ends an optimal walk to its head,
+    out-edges departing before arr(e) (window starts from ``rep.windows``)
+    are finalised and the node optimum absorbs e's walks.  Under every
+    criterion but fo a walk back through the source loses to the one-edge
+    walk, so the source's out-edges start finalised at ``gamma``, its
+    frontier past them, and no successor's extension equals their cost.
+    Under fo, where every cost is 0 and such walks tie, the source starts
+    as the empty walk.
     """
     n = rep.graph.n
     m = rep.m
-    best_cost: list[int | None] = [None] * n
+    extend, tc = criterion.extend, criterion.tc
+    folded = tc is _folded
+    best_cost: list = [None] * n
     best_count = [0] * n
+    ext, ext_of = [None] * n, {}  # extend(best_cost[v]), and of every live cost
     frontier = [0] * n
-    edge_cost: list[int | None] = [None] * m
+    edge_cost: list = [None] * m
     edge_count = [0] * m
+    best_target, target_count, edge_tc = ((best_cost, best_count, edge_cost) if folded
+                                          else ([None] * n, [0] * n, [None] * m))
     live: list[int] = []
     touched: list[int] = []
 
     e_dep_node, e_arr_dep = rep.e_dep_node, rep.e_arr_dep
-    tails, heads = rep.tails, rep.heads
+    tails, heads, arrs = rep.tails, rep.heads, rep.arrs
     win_lo = rep.windows(None)[0]
-    for f in e_dep_node[source]:
-        edge_cost[f] = edge_count[f] = 1
-    frontier[source] = len(e_dep_node[source])
+    if criterion.name == "fo":
+        best_cost[source], best_count[source], ext[source] = 0, 1, extend(0)
+    else:
+        for f, t in zip(e_dep_node[source], rep.dep_times[source]):
+            edge_cost[f], edge_count[f] = criterion.gamma(t), 1
+        frontier[source] = len(e_dep_node[source])
     # edges arriving before the source's first out-edge are unreached, and
     # skipping their frontier moves is safe: the head-side step below
     # writes nothing while v has no walks
@@ -123,7 +133,7 @@ def forward_phase(rep: SortedRepresentation, source: int) -> ForwardState:
         if i >= a:
             cnt = best_count[u]
             if cnt:
-                ck = best_cost[u] + 1
+                ck = ext[u]
                 if i == a:  # only k itself: no earlier out-edge is still open
                     edge_cost[k], edge_count[k] = ck, cnt
                 else:
@@ -143,21 +153,32 @@ def forward_phase(rep: SortedRepresentation, source: int) -> ForwardState:
             if b > a:
                 sv = best_count[v]
                 if sv:
-                    cv1 = cv + 1
+                    xv = ext[v]
                     for f in e_dep_node[v][a:b]:
-                        edge_cost[f] = cv1
+                        edge_cost[f] = xv
                         edge_count[f] = sv
                 frontier[v] = b
             live.append(k)
             if cv is None or ck < cv:
-                if cv is None:
+                if cv is None and folded:
                     touched.append(v)
                 best_cost[v] = ck
                 best_count[v] = cnt
+                ext[v] = ext_of[ck] = extend(ck)
             else:
                 best_count[v] += cnt
+            if not folded:
+                edge_tc[k] = val = tc(arrs[k], ck)
+                cur = best_target[v]
+                if cur is None or val < cur:
+                    if cur is None:
+                        touched.append(v)
+                    best_target[v], target_count[v] = val, cnt
+                elif val == cur:
+                    target_count[v] += cnt
 
-    return ForwardState(best_cost, best_count, edge_cost, edge_count, live, touched, start)
+    return ForwardState(ext_of, best_cost, best_count, edge_cost, edge_count,
+                        best_target, target_count, edge_tc, live, touched, start)
 
 
 def intermediate_phase(
@@ -167,11 +188,10 @@ def intermediate_phase(
     criterion: Criterion,
     start: int = 0,
 ) -> BackwardState:
-    """Per-node optimal target values and optimal-ending-walk counts.
-
-    Generic over criteria: works for any cost domain the forward pass
-    produced.  Positions below ``start`` must be unreached.
-    """
+    """Per-node optimal target values and optimal-ending-walk counts from
+    any engine's forward costs.  No run calls it: it is the test reference
+    for the target optima that both engines' forwards fold in as they
+    scan.  Positions below ``start`` must be unreached."""
     n, m = rep.graph.n, rep.m
     heads, arrs = rep.heads, rep.arrs
     tc = criterion.tc
@@ -233,11 +253,12 @@ def backward_phase(
     Scans forward's live edges in reverse arrival order keeping, per
     node, a sliding window sum over the node's by-departure list: the
     successors of the edge being scanned are exactly the window
-    positions whose optimal hop count extends the edge's own (window
-    start from the run's table, with a per-position hop filter).  Hop
-    counts of live edges never decrease as the scan moves to earlier
+    positions whose optimal cost is the extension of the edge's own
+    (window start from the run's table, with a per-position cost filter).
+    Costs of live edges never decrease as the scan moves to earlier
     arrivals, so windows only ever slide left and each position is
-    summed once per run of equal hop counts.  Other edges score 0.
+    summed once per run of equal costs, whose extension forward recorded.
+    Other edges score 0.
     """
     n = rep.graph.n
     m = rep.m
@@ -247,7 +268,8 @@ def backward_phase(
     back.node_num = node_num = [0] * n
     delta = [0] * n
     summed_lo: list[int | None] = [None] * n  # None: the open end of the slice
-    run_cost: list[int | None] = [None] * n
+    run_cost: list = [None] * n
+    run_want: list = [None] * n  # extend(run_cost[v]): the run's successors' cost
 
     heads = rep.heads
     e_dep_node = rep.e_dep_node
@@ -260,13 +282,15 @@ def backward_phase(
         ls = win_lo[k]
         ck = edge_cost[k]
         nk = share[v] if edge_tc[k] == best_target[v] else 0
-        ck1 = ck + 1
-        if run_cost[v] != ck1:
-            run_cost[v] = ck1
-            delta[v] = 0
-        d = delta[v]
+        if run_cost[v] != ck:
+            run_cost[v] = ck
+            run_want[v] = want = fwd.ext_of[ck]
+            d = 0
+        else:
+            want = run_want[v]
+            d = delta[v]
         for f in e_dep_node[v][ls:summed_lo[v]]:
-            if edge_cost[f] == ck1:
+            if edge_cost[f] == want:
                 d += dep[f]
         delta[v] = d
         summed_lo[v] = ls
@@ -285,16 +309,9 @@ def single_source_edge_betweenness(
     criterion: Criterion,
     targets: frozenset[int] | None = None,
 ) -> tuple[list[int], BackwardState]:
-    """The passes for one source, over walks to ``targets``; returns
-    (edge score numerators over ``back.denom``, counts)."""
-    if criterion.name not in CRITERIA:
-        raise ValueError(
-            f"non-restless engine supports sh and sfo, not {criterion.name!r}"
-        )
-    fwd = forward_phase(rep, source)
-    if criterion.name == "sh":
-        back = BackwardState(fwd.best_cost, fwd.best_count, fwd.edge_cost, fwd.edge_count,
-                             fwd.touched, [])
-    else:
-        back = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, criterion, fwd.start)
+    """Forward then backward for one source, over walks to ``targets``;
+    returns (edge score numerators over ``back.denom``, counts)."""
+    fwd = forward_phase(rep, source, criterion)
+    back = BackwardState(fwd.best_target, fwd.target_count, fwd.edge_tc, fwd.edge_count,
+                         fwd.touched, [])
     return backward_phase(rep, source, fwd, back, targets), back

@@ -54,7 +54,7 @@ def _check_instance(g: TemporalGraph, failures: dict[str, list], monkeypatch) ->
                     for e in range(rep.m):
                         if got[e] != orc.edge_bc.get((s, e), F(0)):
                             failures["oracle_eq"].append((tag, path, crit_name, beta, s, e))
-                    if beta is None and crit_name in ("sh", "sfo"):
+                    if beta is None:
                         other, other_back = nonrestless_run(rep, s, crit)
                         if (other, other_back.denom) != (edge_bc, back.denom):
                             failures["cross_engine"].append((tag, path, crit_name, s))
@@ -167,7 +167,7 @@ def test_criterion_1_oracle_equivalence(corpus_sweep):
 
 def test_criterion_2_cross_engine_equivalence(corpus_sweep):
     bad = corpus_sweep["cross_engine"]
-    _report("2 cross-engine", not bad, "restless(beta=inf) == nonrestless for sh, sfo")
+    _report("2 cross-engine", not bad, "restless(beta=inf) == nonrestless for all 7 criteria")
     assert not bad, bad[:5]
 
 

@@ -214,12 +214,12 @@ def test_invalid_configuration():
     with pytest.raises(ConfigError):
         node_betweenness(g, "sh", workers=0)
     with pytest.raises(ConfigError):
-        node_betweenness(g, "fa", engine="nonrestless")
+        node_betweenness(g, "sh", 3, engine="nonrestless")
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_only_table_criterion_objects_accepted(workers):
-    """Workers and the engine choice look a criterion up by name, so a
+    """Workers, time reversal and the lean fo source go by a criterion's name, so a
     Criterion object other than the table's own is rejected whatever the
     worker count; the table's own object gives the name's result."""
     g = random_temporal_graph(40, 300, 100, 3)  # 40 sources: three blocks

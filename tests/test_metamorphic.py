@@ -71,17 +71,19 @@ def _graphs_and_sources(graph):
         yield g, range(g.n)
 
 
-def test_sh_target_counts_equal_intermediate_phase(graph):
-    """For sh the lean engine skips the intermediate pass: its per-node
-    target values and counts are forward's optimum, and they equal what
-    the intermediate pass derives from the same forward."""
-    sh = get_criterion("sh")
+@pytest.mark.parametrize("crit_name", CRITERION_NAMES)
+def test_lean_target_optima_equal_intermediate_phase(graph, crit_name):
+    """The lean engine folds its live edges' target values into each
+    node's optimum as forward scans (for sh, la and sla they are forward's
+    cost optima); its per-node target values and counts equal what the
+    intermediate pass derives from the same forward."""
+    crit = get_criterion(crit_name)
     for g, sources in _graphs_and_sources(graph):
         rep = build_sorted_representation(g)
         for s in sources:
-            fwd = forward_phase(rep, s)
-            want = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, sh, fwd.start)
-            _, back = nonrestless_run(rep, s, sh)
+            fwd = forward_phase(rep, s, crit)
+            want = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, crit, fwd.start)
+            _, back = nonrestless_run(rep, s, crit)
             assert back.best_target == want.best_target
             assert back.target_count == want.target_count
 
@@ -152,7 +154,7 @@ def test_restless_windows_only_move_left_within_a_run(graph, crit_name, beta, qu
 
 
 ENGINE_RUNS = [(c, b, "restless") for c in CRITERION_NAMES for b in (3, None)]
-ENGINE_RUNS += [("sh", None, "nonrestless"), ("sfo", None, "nonrestless")]
+ENGINE_RUNS += [(c, None, "nonrestless") for c in CRITERION_NAMES]
 
 
 @pytest.mark.parametrize("crit_name, beta, engine", ENGINE_RUNS)
@@ -168,7 +170,7 @@ def test_backward_node_sums_equal_edge_sums_by_head(graph, crit_name, beta, engi
                 assert back.node_num == want
 
 
-@pytest.mark.parametrize("crit_name", ["sh", "sfo"])
+@pytest.mark.parametrize("crit_name", CRITERION_NAMES)
 def test_restless_at_infinity_equals_nonrestless(graph, crit_name):
     crit = get_criterion(crit_name)
     rep = build_sorted_representation(graph)

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tempobet.costs import get_criterion
+from tempobet.costs import CRITERION_NAMES, get_criterion, walk_cost
 from tempobet.driver import node_betweenness
 from tempobet.graph import TemporalEdge, TemporalGraph, build_sorted_representation
 from tempobet.nonrestless import (
@@ -124,7 +124,7 @@ def test_forward_state_matches_prefix_graphs():
                 assert fwd.best_count[v] == 0
 
 
-@pytest.mark.parametrize("crit_name", ["sh", "sfo"])
+@pytest.mark.parametrize("crit_name", CRITERION_NAMES)
 def test_engine_equals_oracle_on_random_graphs(crit_name):
     crit = get_criterion(crit_name)
     rng = random.Random(37)
@@ -138,12 +138,6 @@ def test_engine_equals_oracle_on_random_graphs(crit_name):
             for e in range(g.m):
                 assert got[e] == orc.edge_bc.get((s, e), F(0))
             check_target_record(rep, s, back, orc)
-
-
-def test_rejects_unsupported_criteria(toy):
-    rep = build_sorted_representation(toy)
-    with pytest.raises(ValueError):
-        single_source_edge_betweenness(rep, 0, get_criterion("fa"))
 
 
 def _return_graph() -> TemporalGraph:
@@ -167,25 +161,39 @@ def _return_graph() -> TemporalGraph:
     )
 
 
-@pytest.mark.parametrize("crit_name", ["sh", "sfo"])
+@pytest.mark.parametrize("crit_name", CRITERION_NAMES)
 def test_forward_walks_returning_to_source_and_boundary_departures(crit_name):
-    """Per edge, forward's hop count and walk count equal the walks the
+    """Per edge, forward's cost and walk count equal the walks the
     oracle enumerates, and betweenness equals the oracle's."""
     g = _return_graph()
     rep = build_sorted_representation(g)
     crit = get_criterion(crit_name)
     orc = oracle_betweenness(g, crit, None)
     for s in range(g.n):
-        hops: dict[int, list[int]] = {}
+        costs: dict[int, list] = {}
         for w in enumerate_walks(g, s, None):
-            hops.setdefault(w[-1], []).append(len(w))
-        fwd = forward_phase(rep, s)
+            costs.setdefault(w[-1], []).append(walk_cost([g.edges[e] for e in w], crit))
+        fwd = forward_phase(rep, s, crit)
         for k in range(rep.m):
-            walk_hops = hops.get(rep.e_arr[k], [])
-            want_cost = min(walk_hops, default=None)
+            walk_costs = costs.get(rep.e_arr[k], [])
+            want_cost = min(walk_costs, default=None)
             assert fwd.edge_cost[k] == want_cost
-            assert fwd.edge_count[k] == walk_hops.count(want_cost)
+            assert fwd.edge_count[k] == walk_costs.count(want_cost)
         bc, back = single_source_edge_betweenness(rep, s, crit)
         by_edge = edge_bc_by_original(rep, bc, back.denom)
         assert by_edge == {e: orc.edge_bc.get((s, e), F(0)) for e in range(g.m)}
     assert node_betweenness(g, crit_name).values == orc.node_bc
+
+
+def test_fo_source_out_edges_count_walks_back_to_the_source():
+    """Under fo every walk costs 0, so a walk back to the source ties
+    with the one-edge walk on each later out-edge: from node 0, 0->2
+    (departing 5) also ends 0->1->0->2, and 0->3 (departing 9) ends four
+    walks, through 0->1->0, 0->2->0, both, or neither."""
+    g = _return_graph()
+    rep = build_sorted_representation(g)
+    fwd = forward_phase(rep, 0, get_criterion("fo"))
+    counts = _by_original(rep, fwd.edge_count)
+    assert [counts[e] for e in (0, 3, 6)] == [1, 2, 4]
+    sh = forward_phase(rep, 0)
+    assert [_by_original(rep, sh.edge_count)[e] for e in (0, 3, 6)] == [1, 1, 1]

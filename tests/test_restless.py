@@ -210,7 +210,7 @@ def _overtaking_graphs() -> list[TemporalGraph]:
 
 @pytest.mark.parametrize(
     "engine, crit_name, beta",
-    [("nonrestless", c, None) for c in ("sh", "sfo")]
+    [("nonrestless", c, None) for c in CRITERION_NAMES]
     + [("restless", c, b) for c in ("sh", "sfo") for b in (None, 0, 1, 3)],
 )
 def test_tail_side_step_finalising_several_positions(engine, crit_name, beta, monkeypatch):
@@ -227,7 +227,7 @@ def test_tail_side_step_finalising_several_positions(engine, crit_name, beta, mo
                 costs.setdefault(w[-1], []).append(walk_cost([g.edges[e] for e in w], crit))
             best = {e: min(cs) for e, cs in costs.items()}
             if engine == "nonrestless":
-                fwds = [nonrestless_forward(rep, s)]
+                fwds = [nonrestless_forward(rep, s, crit)]
             else:  # node scores below then run the quintuple path, which is last
                 fwds = [restless_forward(rep, s, crit, beta, debug_invariants=True)
                         for _ in restless_paths(monkeypatch)]
@@ -246,7 +246,7 @@ def test_unreachable_edges_score_zero(loop):
     assert bc == [F(0)] * rep.m
 
 
-@pytest.mark.parametrize("crit_name", ["sh", "sfo"])
+@pytest.mark.parametrize("crit_name", CRITERION_NAMES)
 def test_beta_infinity_matches_nonrestless(crit_name):
     crit = get_criterion(crit_name)
     rng = random.Random(41)
@@ -464,8 +464,8 @@ def test_scan_starts_at_first_reachable_edge(crit_name, monkeypatch):
                 assert fwd.start == min(rep.e_dep_node[s], default=rep.m)
                 assert not any(fwd.edge_count[:fwd.start])
                 runs = [single_source_edge_betweenness(rep, s, crit, beta)]
-                if beta is None and crit_name in ("sh", "sfo"):
-                    assert nonrestless_forward(rep, s).start == fwd.start
+                if beta is None:
+                    assert nonrestless_forward(rep, s, crit).start == fwd.start
                     runs.append(nonrestless_run(rep, s, crit))
                 for bc, back in runs:
                     got = edge_bc_by_original(rep, bc, back.denom)
