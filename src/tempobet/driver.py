@@ -7,7 +7,7 @@ revisit of its target.  la and sla, whose walks keep their score when
 extended, run as fo and sfo on the time-reversed graph (run_plan).
 
 Per source, the engines return int numerators over one denominator,
-summed per head node by backward (``back.node_num``).  One rule merges
+summed per head node by backward (``rec.node_num``).  One rule merges
 exact shares (_add_scaled): numerators over d are added into int totals
 over a running lcm, rescaled first only when d does not divide it.
 Sources are cut into fixed blocks of ascending sources, merged by that
@@ -100,12 +100,12 @@ def single_source_edge_betweenness(
     beta: int | None,
     engine: str = "auto",
     targets: frozenset[int] | None = None,
-) -> tuple[list[int], nonrestless.BackwardState]:
-    """Edge betweenness and counts for one source, engine auto-selected.
+) -> tuple[list[int], nonrestless.ForwardState | restless.RestlessScan]:
+    """Edge betweenness and the run's record for one source.
 
-    Returns (edge_bc, back): the score of the edge at arrival position k,
-    over walks to ``targets`` (None: every node), is edge_bc[k] /
-    back.denom, with both ints.  A bad source, beta, criterion or engine
+    Returns (edge_bc, rec), engine auto-selected: the score of the edge
+    at arrival position k, over walks to ``targets`` (None: every node),
+    is edge_bc[k] / rec.denom, with both ints.  A bad source, beta, criterion or engine
     raises ConfigError.
     """
     crit = _resolve_criterion(criterion)
@@ -231,13 +231,13 @@ def _block_sums(
 ) -> tuple[int, list[tuple[int, int]]]:
     """These sources' summed share of the betweenness of each node they
     touch, as (D, [(node, N)]): the share is N / D.  Each source's
-    in-edge sums ``back.node_num``, less its node-as-target shares (to
+    in-edge sums ``rec.node_num``, less its node-as-target shares (to
     ``targets``, None: all), are merged by _add_scaled over the nodes it
-    reaches (``back.touched``), so D is the lcm of the sources' denominators."""
+    reaches (``rec.touched``), so D is the lcm of the sources' denominators."""
     total, lcm = [0] * rep.graph.n, 0
     for source in block:
-        _, back = single_source_edge_betweenness(rep, source, crit, beta, engine, targets)
-        denom, num, touched = back.denom, back.node_num, back.touched
+        _, rec = single_source_edge_betweenness(rep, source, crit, beta, engine, targets)
+        denom, num, touched = rec.denom, rec.node_num, rec.touched
         for u in touched if targets is None else targets.intersection(touched):
             num[u] -= denom
         num[source] = 0

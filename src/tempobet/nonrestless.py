@@ -15,16 +15,25 @@ backward  -- edge betweenness via the successor recursion (Brandes-style
              edge itself ends a target-optimal walk; its score is its
              walk count times that dependency.
 
+Backward tests no cost.  A live edge k into v (``ForwardState.live``)
+leaves v's optimum at k's cost until the next live edge into v, whose
+head-side step first finalises v's out-edges departing before it
+arrives.  So each out-edge that k's window adds to v's sum was finalised,
+at k's scan or later, with k's extension.  The source's out-edges, set
+to ``gamma`` first, are the exception, so an in-edge of the source is
+live only under fo, where they tie.
+
 Costs are the criterion's (``costs``); unreachable is None.  All
-arithmetic is on exact ints: with L = ``back.denom``, the lcm of the
+arithmetic is on exact ints: with L = ``rec.denom``, the lcm of the
 target counts of the nodes the source reaches, every per-walk
 dependency times L is an int, and the engines return edge scores as
-numerators over L.
+numerators over L beside the run's record ``rec``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from .costs import Criterion, _folded, get_criterion
 from .graph import SortedRepresentation
@@ -32,20 +41,21 @@ from .graph import SortedRepresentation
 
 @dataclass
 class ForwardState:
-    """Per-node and per-edge results of the forward scan.
+    """One source's run: forward's results, then backward's sums.
 
     Edge arrays are indexed by position in the by-arrival order.
     ``live`` lists, in scan order, the position of every edge that ended
-    an optimal walk to its head at scan time; its successors start at its
-    window start in the run's table (``rep.windows(None)``).  No other
-    edge has successors, nor ends a target-optimal walk: a live edge to
-    its head arrived no later at a lower cost, and ``tc`` rises with the
-    cost and never falls with the arrival.  The target lists fold in live
-    edges; for sh, la and sla they are the cost lists.  ``touched`` lists
-    the nodes with a reached in-edge, in first-walk order.
+    an optimal walk to its head at scan time (into the source only under
+    fo); its successors start at its window start in the run's table
+    (``rep.windows(None)``).  No other edge has successors, nor ends a
+    target-optimal walk to a node but the source: a live edge to its head
+    arrived no later at a lower cost, and ``tc`` rises with the cost and
+    never falls with the arrival.  The target lists fold in live edges;
+    for sh, la and sla they are the cost lists.  ``touched`` lists the
+    nodes with a reached in-edge, in first-walk order.  Backward sets
+    ``node_num[v]``, v's in-edge scores summed times the int ``denom``.
     """
 
-    ext_of: dict  # each live edge's cost -> its extension, for backward
     best_cost: list
     best_count: list[int]
     edge_cost: list
@@ -56,26 +66,7 @@ class ForwardState:
     live: list[int]
     touched: list[int]
     start: int  # no position below it is reached
-
-
-@dataclass
-class BackwardState:
-    """Target-side counts and the per-node sums of the edge scores.
-
-    ``edge_tc`` and ``edge_count`` are the engine's own per-edge lists:
-    an edge with a count ends that many walks to its head, and they are
-    target-optimal exactly when its target value equals the head's
-    ``best_target``.  ``touched`` lists, once each, the nodes with a
-    target count.  ``node_num[v]`` (set by backward) sums v's in-edge
-    scores times the int ``denom``.
-    """
-
-    best_target: list[object]
-    target_count: list[int]
-    edge_tc: list[object]
-    edge_count: list[int]
-    touched: list[int]
-    node_num: list[int]
+    node_num: list[int] = field(default_factory=list)
     denom: int = 1
 
 
@@ -93,9 +84,10 @@ def forward_phase(rep: SortedRepresentation, source: int,
     are finalised and the node optimum absorbs e's walks.  Under every
     criterion but fo a walk back through the source loses to the one-edge
     walk, so the source's out-edges start finalised at ``gamma``, its
-    frontier past them, and no successor's extension equals their cost.
-    Under fo, where every cost is 0 and such walks tie, the source starts
-    as the empty walk.
+    frontier past them, and no successor's extension equals their cost;
+    as backward tests no cost (see above), no in-edge of the source is
+    live.  Under fo, where every cost is 0 and such walks tie, the source
+    starts as the empty walk.
     """
     n = rep.graph.n
     m = rep.m
@@ -103,7 +95,7 @@ def forward_phase(rep: SortedRepresentation, source: int,
     folded = tc is _folded
     best_cost: list = [None] * n
     best_count = [0] * n
-    ext, ext_of = [None] * n, {}  # extend(best_cost[v]), and of every live cost
+    ext = [None] * n  # extend(best_cost[v])
     frontier = [0] * n
     edge_cost: list = [None] * m
     edge_count = [0] * m
@@ -115,7 +107,8 @@ def forward_phase(rep: SortedRepresentation, source: int,
     e_dep_node, e_arr_dep = rep.e_dep_node, rep.e_arr_dep
     tails, heads, arrs = rep.tails, rep.heads, rep.arrs
     win_lo = rep.windows(None)[0]
-    if criterion.name == "fo":
+    fo = criterion.name == "fo"
+    if fo:
         best_cost[source], best_count[source], ext[source] = 0, 1, extend(0)
     else:
         for f, t in zip(e_dep_node[source], rep.dep_times[source]):
@@ -158,13 +151,14 @@ def forward_phase(rep: SortedRepresentation, source: int,
                         edge_cost[f] = xv
                         edge_count[f] = sv
                 frontier[v] = b
-            live.append(k)
+            if v != source or fo:
+                live.append(k)
             if cv is None or ck < cv:
                 if cv is None and folded:
                     touched.append(v)
                 best_cost[v] = ck
                 best_count[v] = cnt
-                ext[v] = ext_of[ck] = extend(ck)
+                ext[v] = extend(ck)
             else:
                 best_count[v] += cnt
             if not folded:
@@ -177,7 +171,7 @@ def forward_phase(rep: SortedRepresentation, source: int,
                 elif val == cur:
                     target_count[v] += cnt
 
-    return ForwardState(ext_of, best_cost, best_count, edge_cost, edge_count,
+    return ForwardState(best_cost, best_count, edge_cost, edge_count,
                         best_target, target_count, edge_tc, live, touched, start)
 
 
@@ -187,11 +181,13 @@ def intermediate_phase(
     edge_count: list[int],
     criterion: Criterion,
     start: int = 0,
-) -> BackwardState:
+) -> SimpleNamespace:
     """Per-node optimal target values and optimal-ending-walk counts from
-    any engine's forward costs.  No run calls it: it is the test reference
-    for the target optima that both engines' forwards fold in as they
-    scan.  Positions below ``start`` must be unreached."""
+    any engine's forward costs, under the names of the engines' own
+    records (best_target, target_count, edge_tc, edge_count, touched).
+    No run calls it: it is the test reference for the target optima that
+    both engines' forwards fold in as they scan.  Positions below
+    ``start`` must be unreached."""
     n, m = rep.graph.n, rep.m
     heads, arrs = rep.heads, rep.arrs
     tc = criterion.tc
@@ -215,25 +211,25 @@ def intermediate_phase(
             target_count[v] += edge_count[k]
     touched = [v for v, c in enumerate(target_count) if c]
 
-    return BackwardState(best_target, target_count, edge_tc, edge_count, touched, [])
+    return SimpleNamespace(best_target=best_target, target_count=target_count,
+                           edge_tc=edge_tc, edge_count=edge_count, touched=touched)
 
 
-def terminal_shares(back: BackwardState, source: int,
-                    targets: frozenset[int] | None = None) -> list[int]:
-    """Set ``back.denom`` to L, the lcm of the target counts of the nodes
-    in ``targets`` (None: all) but ``source``, and return L // count per
-    such node, else 0: for both engines, the dependency, times L, of an
-    edge ending a target-optimal walk to it.  Only the nodes in
-    ``back.touched`` have a target count, so only they are visited."""
-    counts = back.target_count
-    reached = [v for v in back.touched if v != source and (targets is None or v in targets)]
+def terminal_shares(rec, source: int, targets: frozenset[int] | None = None) -> list[int]:
+    """Set ``rec.denom`` (either engine's run record) to L, the lcm of the
+    target counts of the nodes in ``targets`` (None: all) but ``source``,
+    and return L // count per such node, else 0: the dependency, times L,
+    of an edge ending a target-optimal walk to it.  Only the nodes in
+    ``rec.touched`` have a target count, so only they are visited."""
+    counts = rec.target_count
+    reached = [v for v in rec.touched if v != source and (targets is None or v in targets)]
     denom = 1
     # latest-reached first: where walk counts grow along the scan, as on
     # a ladder, most earlier counts then divide the running lcm
     for v in reversed(reached):
         if denom % counts[v]:
             denom = math.lcm(denom, counts[v])
-    back.denom = denom
+    rec.denom = denom
     share = [0] * len(counts)
     for v in reached:
         share[v] = denom // counts[v]
@@ -244,38 +240,37 @@ def backward_phase(
     rep: SortedRepresentation,
     source: int,
     fwd: ForwardState,
-    back: BackwardState,
     targets: frozenset[int] | None = None,
 ) -> list[int]:
     """Per-edge betweenness numerators for one source, by the successor
-    recursion over per-walk dependencies times ``back.denom``.
+    recursion over per-walk dependencies times ``fwd.denom``, which it
+    sets with ``fwd.node_num``.
 
     Scans forward's live edges in reverse arrival order keeping, per
     node, a sliding window sum over the node's by-departure list: the
-    successors of the edge being scanned are exactly the window
-    positions whose optimal cost is the extension of the edge's own
-    (window start from the run's table, with a per-position cost filter).
-    Costs of live edges never decrease as the scan moves to earlier
-    arrivals, so windows only ever slide left and each position is
-    summed once per run of equal costs, whose extension forward recorded.
-    Other edges score 0.
+    successors of the edge being scanned are the window positions from
+    its window start in the run's table.  Costs of live edges never
+    decrease as the scan moves to earlier arrivals, so windows only ever
+    slide left, and the sum restarts where the cost rises.  Each position
+    is summed once, with no cost test: forward finalised every position
+    a live edge adds with that edge's extension (see the module
+    docstring).  Other edges score 0.
     """
     n = rep.graph.n
     m = rep.m
-    share = terminal_shares(back, source, targets)
-    dep = [0] * m  # per-walk dependency of each edge, times back.denom
+    share = terminal_shares(fwd, source, targets)
+    dep = [0] * m  # per-walk dependency of each edge, times fwd.denom
     edge_bc = [0] * m
-    back.node_num = node_num = [0] * n
+    fwd.node_num = node_num = [0] * n
     delta = [0] * n
     summed_lo: list[int | None] = [None] * n  # None: the open end of the slice
     run_cost: list = [None] * n
-    run_want: list = [None] * n  # extend(run_cost[v]): the run's successors' cost
 
     heads = rep.heads
     e_dep_node = rep.e_dep_node
     win_lo = rep.windows(None)[0]
     edge_cost, edge_count = fwd.edge_cost, fwd.edge_count
-    edge_tc, best_target = back.edge_tc, back.best_target
+    edge_tc, best_target = fwd.edge_tc, fwd.best_target
 
     for k in reversed(fwd.live):
         v = heads[k]
@@ -284,14 +279,11 @@ def backward_phase(
         nk = share[v] if edge_tc[k] == best_target[v] else 0
         if run_cost[v] != ck:
             run_cost[v] = ck
-            run_want[v] = want = fwd.ext_of[ck]
             d = 0
         else:
-            want = run_want[v]
             d = delta[v]
         for f in e_dep_node[v][ls:summed_lo[v]]:
-            if edge_cost[f] == want:
-                d += dep[f]
+            d += dep[f]
         delta[v] = d
         summed_lo[v] = ls
         nk += d
@@ -308,10 +300,8 @@ def single_source_edge_betweenness(
     source: int,
     criterion: Criterion,
     targets: frozenset[int] | None = None,
-) -> tuple[list[int], BackwardState]:
+) -> tuple[list[int], ForwardState]:
     """Forward then backward for one source, over walks to ``targets``;
-    returns (edge score numerators over ``back.denom``, counts)."""
+    returns (edge score numerators over ``rec.denom``, the run's record rec)."""
     fwd = forward_phase(rep, source, criterion)
-    back = BackwardState(fwd.best_target, fwd.target_count, fwd.edge_tc, fwd.edge_count,
-                         fwd.touched, [])
-    return backward_phase(rep, source, fwd, back, targets), back
+    return backward_phase(rep, source, fwd, targets), fwd

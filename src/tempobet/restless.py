@@ -54,7 +54,7 @@ strictly cheaper cost replaces, an equal one adds.  That is exact, as
 every window position departs no earlier than the edge arrives and
 travel is positive, so it is scanned later, and its cost and count are
 complete when the scan reaches it.  Per source this costs
-O(M + sum of windows), at most O(5M) under the threshold, so a run stays
+O(M + sum of windows), at most O(9M) under the threshold, so a run stays
 O(nM); long windows keep the quintuples, which bound it whatever the
 windows hold.  Backward then takes the run's table as its successor
 windows and filters their positions by cost as it does recorded ones.
@@ -67,11 +67,13 @@ from dataclasses import dataclass, field
 from .costs import Criterion, _folded, _same
 from .graph import SortedRepresentation
 # unused intermediate_phase stays importable: perfbench's tracer patches it here by name
-from .nonrestless import BackwardState, intermediate_phase, terminal_shares  # noqa: F401
+from .nonrestless import intermediate_phase, terminal_shares  # noqa: F401
 
 #: Forward pushes walks into windows, with no quintuple, when the run's
-#: windows hold at most this many positions per edge on average.
-PUSH_MEAN_WINDOW = 4
+#: windows hold at most this many positions per edge on average: the
+#: largest mean window at which pushing was faster on both graph shapes
+#: measured (ROADMAP, dead ends).
+PUSH_MEAN_WINDOW = 8
 
 
 @dataclass(slots=True)
@@ -85,7 +87,7 @@ class Quintuple:
 
 @dataclass
 class RestlessScan:
-    """Mutable forward-scan state for one source.
+    """One source's run: the forward scan's state, then backward's sums.
 
     Edge arrays are indexed by position in the by-arrival order;
     ``intervals[v]`` and ``frontier[v]`` describe node v's by-departure
@@ -96,7 +98,8 @@ class RestlessScan:
     its head's list; ``succ_hi`` is the run's ``win_hi``.  The quintuple
     path records where coverage starts in ``succ_lo``, which holds
     ``win_hi`` (empty) until then.  The push path keeps no quintuple or
-    frontier, and its ``succ_lo`` is the run's ``win_lo``.
+    frontier, and its ``succ_lo`` is the run's ``win_lo``.  Backward sets
+    ``node_num[v]``, the sum of v's in-edge scores times the int ``denom``.
     """
 
     rep: SortedRepresentation
@@ -112,6 +115,8 @@ class RestlessScan:
     touched: list[int]  # nodes with a reached in-edge, in first-walk order
     start: int = 0
     stats: dict[str, int] = field(default_factory=dict)
+    node_num: list[int] = field(default_factory=list)
+    denom: int = 1
 
     def check_invariants(self) -> None:
         """Debug-only: the quintuple path's bookkeeping matches its preds."""
@@ -340,12 +345,12 @@ def restless_backward(
     source: int,
     criterion: Criterion,
     fwd: RestlessScan,
-    back: BackwardState,
     targets: frozenset[int] | None = None,
 ) -> list[int]:
-    """Per-edge betweenness numerators over ``back.denom`` from the
-    recorded successor windows; a reached edge whose target value is its
-    head's ``back.best_target`` also ends target-optimal walks.
+    """Per-edge betweenness numerators over ``fwd.denom``, set here with
+    ``fwd.node_num``, from the recorded successor windows; a reached edge
+    ends target-optimal walks when its target value is its head's
+    ``best_target``.
 
     A successor has the extension of the scanned edge's cost; an
     unreached position's cost is None, which no extension equals.  Going
@@ -359,13 +364,13 @@ def restless_backward(
 
     edge_cost, edge_count = fwd.edge_cost, fwd.edge_count
     succ_lo, succ_hi = fwd.succ_lo, fwd.succ_hi
-    edge_tc, best_target = back.edge_tc, back.best_target
+    edge_tc, best_target = fwd.edge_tc, fwd.best_target
     window_ops = 0
 
-    share = terminal_shares(back, source, targets)
-    dep = [0] * m  # per-walk dependency of each edge, times back.denom
+    share = terminal_shares(fwd, source, targets)
+    dep = [0] * m  # per-walk dependency of each edge, times fwd.denom
     edge_bc = [0] * m
-    back.node_num = node_num = [0] * n
+    fwd.node_num = node_num = [0] * n
     delta = [0] * n
     cur_lo = [0] * n
     cur_hi = [0] * n
@@ -415,10 +420,8 @@ def single_source_edge_betweenness(
     beta: int | None,
     targets: frozenset[int] | None = None,
     debug_invariants: bool = False,
-) -> tuple[list[int], BackwardState]:
-    """All three phases for one source, any criterion and bound, over walks
-    to ``targets``; returns (edge score numerators over ``back.denom``, counts)."""
+) -> tuple[list[int], RestlessScan]:
+    """Forward then backward for one source, any criterion and bound, over
+    walks to ``targets``; returns (numerators over ``rec.denom``, rec)."""
     fwd = restless_forward(rep, source, criterion, beta, debug_invariants)
-    back = BackwardState(fwd.best_target, fwd.target_count, fwd.edge_tc, fwd.edge_count,
-                         fwd.touched, [])
-    return restless_backward(rep, source, criterion, fwd, back, targets), back
+    return restless_backward(rep, source, criterion, fwd, targets), fwd

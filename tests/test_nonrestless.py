@@ -7,7 +7,12 @@ import pytest
 
 from tempobet.costs import CRITERION_NAMES, get_criterion, walk_cost
 from tempobet.driver import node_betweenness
-from tempobet.graph import TemporalEdge, TemporalGraph, build_sorted_representation
+from tempobet.graph import (
+    TemporalEdge,
+    TemporalGraph,
+    build_sorted_representation,
+    random_temporal_graph,
+)
 from tempobet.nonrestless import (
     forward_phase,
     intermediate_phase,
@@ -183,6 +188,34 @@ def test_forward_walks_returning_to_source_and_boundary_departures(crit_name):
         by_edge = edge_bc_by_original(rep, bc, back.denom)
         assert by_edge == {e: orc.edge_bc.get((s, e), F(0)) for e in range(g.m)}
     assert node_betweenness(g, crit_name).values == orc.node_bc
+
+
+@pytest.mark.parametrize("crit_name", CRITERION_NAMES)
+def test_backward_slices_cost_the_live_edges_extension(crit_name):
+    """Replays backward_phase's slices: for each live edge k in reverse
+    scan order, its head's out-edges from k's window start up to where
+    that head's sum reached.  Forward finalised every one of them with
+    k's extension, so backward sums them with no cost test.  A live edge
+    ends at the source only under fo, where the source starts as the
+    empty walk; elsewhere the source's out-edges cost ``gamma``."""
+    crit = get_criterion(crit_name)
+    graphs = [random_temporal_graph(30, 300, 60, seed, travel_max=2) for seed in range(4)]
+    summed = 0
+    for g in graphs + [_return_graph()]:
+        rep = build_sorted_representation(g)
+        win_lo = rep.windows(None)[0]
+        for s in range(g.n):
+            fwd = forward_phase(rep, s, crit)
+            summed_lo = [None] * g.n
+            for k in reversed(fwd.live):
+                v = rep.heads[k]
+                assert v != s or crit_name == "fo", (s, k)
+                want = crit.extend(fwd.edge_cost[k])
+                for f in rep.e_dep_node[v][win_lo[k]:summed_lo[v]]:
+                    assert fwd.edge_cost[f] == want, (s, k, f)
+                    summed += 1
+                summed_lo[v] = win_lo[k]
+    assert summed
 
 
 def test_fo_source_out_edges_count_walks_back_to_the_source():

@@ -18,7 +18,7 @@ from tempobet.graph import (
 )
 from tempobet.nonrestless import forward_phase as nonrestless_forward
 from tempobet.nonrestless import single_source_edge_betweenness as nonrestless_run
-from tempobet.nonrestless import BackwardState, intermediate_phase
+from tempobet.nonrestless import intermediate_phase
 from tempobet.oracle import enumerate_walks, g_loop, g_toy, oracle_betweenness
 from tempobet.restless import (
     Quintuple,
@@ -309,8 +309,7 @@ def test_operation_counters_stay_linear(quintuple_path):
                     fwd = restless_forward(rep, s, crit, beta)
                     assert fwd.stats["quintuples"] <= g.m
                     assert fwd.stats["finalised"] <= g.m
-                    back = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, crit)
-                    restless_backward(rep, s, crit, fwd, back)
+                    restless_backward(rep, s, crit, fwd)
                     assert fwd.stats["window_ops"] <= 4 * g.m + 4
 
 
@@ -336,8 +335,7 @@ def test_operation_counters_exact(graph, crit_name, beta, want, quintuple_path):
     got = [0] * len(keys)
     for s in range(graph.n):
         fwd = restless_forward(rep, s, crit, beta)
-        back = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, crit)
-        restless_backward(rep, s, crit, fwd, back)
+        restless_backward(rep, s, crit, fwd)
         got = [g + fwd.stats[k] for g, k in zip(got, keys)]
     assert tuple(got) == want
 
@@ -355,9 +353,7 @@ def test_quintuple_path_counters_on_benchmark_ladder(monkeypatch, quintuple_path
     reached = 0
     for s in range(rep.graph.n):
         fwd = restless_forward(rep, s, crit, ladder.beta)
-        back = BackwardState(fwd.best_target, fwd.target_count, fwd.edge_tc, fwd.edge_count,
-                             fwd.touched, [])
-        restless_backward(rep, s, crit, fwd, back)
+        restless_backward(rep, s, crit, fwd)
         got = [g + fwd.stats[k] for g, k in zip(got, keys)]
         reached += sum(1 for c in fwd.edge_count if c)
     assert rep.graph.n == 502
