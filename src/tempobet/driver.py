@@ -101,19 +101,22 @@ def single_source_edge_betweenness(
     engine: str = "auto",
     targets: frozenset[int] | None = None,
 ) -> tuple[list[int], nonrestless.ForwardState | restless.RestlessScan]:
-    """Edge betweenness and the run's record for one source.
+    """Forward then backward for one source, on the engine ``engine``
+    names (auto: picked by beta), each pass called through its module.
 
-    Returns (edge_bc, rec), engine auto-selected: the score of the edge
-    at arrival position k, over walks to ``targets`` (None: every node),
-    is edge_bc[k] / rec.denom, with both ints.  A bad source, beta, criterion or engine
-    raises ConfigError.
+    Returns (edge_bc, rec): the score of the edge at arrival position k,
+    over walks to ``targets`` (None: every node), is edge_bc[k] / rec.denom,
+    with both ints.  A bad source, beta, criterion or engine raises
+    ConfigError.
     """
     crit = _resolve_criterion(criterion)
     beta = check_beta(beta)
     _check_sources(rep.graph, [source])
     if _pick_engine(beta, engine) == "nonrestless":
-        return nonrestless.single_source_edge_betweenness(rep, source, crit, targets)
-    return restless.single_source_edge_betweenness(rep, source, crit, beta, targets)
+        fwd = nonrestless.forward_phase(rep, source, crit)
+        return nonrestless.backward_phase(rep, source, fwd, targets), fwd
+    fwd = restless.restless_forward(rep, source, crit, beta)
+    return restless.restless_backward(rep, source, crit, fwd, targets), fwd
 
 
 def revisit_continuations(rep: SortedRepresentation, beta: int | None) -> list[int]:
@@ -236,8 +239,9 @@ def _block_sums(
     reaches (``rec.touched``), so D is the lcm of the sources' denominators."""
     total, lcm = [0] * rep.graph.n, 0
     for source in block:
-        _, rec = single_source_edge_betweenness(rep, source, crit, beta, engine, targets)
+        rec = single_source_edge_betweenness(rep, source, crit, beta, engine, targets)[1]
         denom, num, touched = rec.denom, rec.node_num, rec.touched
+        del rec  # its m-long lists go before the next source makes its own
         for u in touched if targets is None else targets.intersection(touched):
             num[u] -= denom
         num[source] = 0

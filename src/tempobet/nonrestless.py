@@ -293,15 +293,3 @@ def backward_phase(
             node_num[v] += x
 
     return edge_bc
-
-
-def single_source_edge_betweenness(
-    rep: SortedRepresentation,
-    source: int,
-    criterion: Criterion,
-    targets: frozenset[int] | None = None,
-) -> tuple[list[int], ForwardState]:
-    """Forward then backward for one source, over walks to ``targets``;
-    returns (edge score numerators over ``rec.denom``, the run's record rec)."""
-    fwd = forward_phase(rep, source, criterion)
-    return backward_phase(rep, source, fwd, targets), fwd

@@ -22,29 +22,28 @@ non-decreasing, which keeps every edge's coverage a single interval.
 
 A position is finalised (its optimal cost and walk count frozen) once
 no future edge can reach it, consuming its quintuple's predecessors in
-order.  Forward ends with no quintuple left: a quintuple covers only
-positions departing no earlier than its covering edges arrive, and as
-travel is positive each such position's edge arrives later, so it is
-scanned afterwards and its tail-side step freezes it.  The backward
-phase is the same successor recursion over int dependency numerators
-as the non-restless engine, except an edge's successor window starts
-where its coverage started: the per-node running sum follows those
-windows right to left, by slices of the head's by-departure list.
+order; freezing just the scanned edge's own position, the common
+tail-side step, is done inline.  Forward ends with no quintuple left: a
+quintuple covers only positions departing no earlier than its covering
+edges arrive, and as travel is positive each such position's edge
+arrives later, so it is scanned afterwards and its tail-side step
+freezes it.  The quintuples and per-node frontiers are thus forward's
+locals, and the run's record (``RestlessScan``) keeps only results.
 
-A scanned edge's cost and count are final, so forward records its
-target value and folds it into its head's optimal target value and
-count, and backward tests target optimality inline: no intermediate
-pass runs.  The common tail-side step, freezing just the scanned
-edge's own position, is done inline.
+A scanned edge's cost and count are final, so forward folds its target
+value into its head's optimal target value and count: no intermediate
+pass runs.  Backward is the non-restless engine's successor recursion
+over int dependency numerators, except that an edge's successor window
+starts where its coverage started: the per-node running sum follows
+those windows right to left, by slices of the head's by-departure list.
 
 Every pass starts at the source's earliest-arriving out-edge, as every
 reached edge arrives no earlier.  The edges skipped would only move
 tail-side frontiers past positions that depart before every later
-arrival, and a window start read from the run's table (``rep.windows``)
-skips those positions wherever the frontier stands.  It needs no clamp:
-no frontier passes a position that departs at or after a later arrival.
-Where ``extend`` or ``tc`` returns the cost (``_same``, ``_folded``),
-both passes read the cost instead of calling it.
+arrival, which a window start from the run's table (``rep.windows``)
+skips anyway, with no clamp.  Where ``extend`` or ``tc`` returns the
+cost (``_same``, ``_folded``), both passes read the cost instead of
+calling it.
 
 Short windows skip the quintuples.  When the run's continuation windows
 hold at most ``PUSH_MEAN_WINDOW`` positions on average (decided once per
@@ -87,28 +86,22 @@ class Quintuple:
 
 @dataclass
 class RestlessScan:
-    """One source's run: the forward scan's state, then backward's sums.
+    """One source's run: forward's results, then backward's sums.
 
-    Edge arrays are indexed by position in the by-arrival order;
-    ``intervals[v]`` and ``frontier[v]`` describe node v's by-departure
-    list: positions below the frontier are finalised, positions at or
-    above it are covered by the interval quintuples (or by nothing, if
-    no walk can reach them).  No position below ``start`` is reached.
-    Edge k's successor window is positions succ_lo[k]..succ_hi[k] - 1 of
-    its head's list; ``succ_hi`` is the run's ``win_hi``.  The quintuple
-    path records where coverage starts in ``succ_lo``, which holds
-    ``win_hi`` (empty) until then.  The push path keeps no quintuple or
-    frontier, and its ``succ_lo`` is the run's ``win_lo``.  Backward sets
-    ``node_num[v]``, the sum of v's in-edge scores times the int ``denom``.
+    Edge arrays are indexed by position in the by-arrival order; no
+    position below ``start`` is reached.  Edge k's successor window is
+    positions succ_lo[k]..succ_hi[k] - 1 of its head's by-departure list;
+    ``succ_hi`` is the run's ``win_hi``.  The quintuple path records where
+    coverage starts in ``succ_lo``, which holds ``win_hi`` (empty) until
+    then; the push path's ``succ_lo`` is the run's ``win_lo``.  Backward
+    sets ``node_num[v]``, the sum of v's in-edge scores times the int
+    ``denom``.
     """
 
-    rep: SortedRepresentation
     edge_cost: list
     edge_count: list[int]
     succ_lo: list[int]
     succ_hi: list[int]
-    intervals: list[deque]
-    frontier: list[int]
     best_target: list[object]  # per node, over its reached in-edges
     target_count: list[int]  # walks ending at best_target
     edge_tc: list  # per reached edge, the target value of its walks
@@ -118,41 +111,24 @@ class RestlessScan:
     node_num: list[int] = field(default_factory=list)
     denom: int = 1
 
-    def check_invariants(self) -> None:
-        """Debug-only: the quintuple path's bookkeeping matches its preds."""
-        for v, ivs in enumerate(self.intervals):
-            prev_hi = self.frontier[v] - 1
-            for q in ivs:
-                assert self.frontier[v] <= q.lo <= q.hi, (v, q)
-                assert q.lo > prev_hi, "intervals must be disjoint and ordered"
-                assert q.eta == sum(self.edge_count[p] for p in q.preds), (v, q)
-                assert all(self.succ_hi[p] > q.lo for p in q.preds), (v, q)
-                prev_hi = q.hi
+
+def check_invariants(intervals: list[deque], frontier: list[int],
+                     edge_count: list[int], succ_hi: list[int]) -> None:
+    """Debug-only: the quintuple path's bookkeeping matches its preds."""
+    for v, ivs in enumerate(intervals):
+        prev_hi = frontier[v] - 1
+        for q in ivs:
+            assert frontier[v] <= q.lo <= q.hi, (v, q)
+            assert q.lo > prev_hi, "intervals must be disjoint and ordered"
+            assert q.eta == sum(edge_count[p] for p in q.preds), (v, q)
+            assert all(succ_hi[p] > q.lo for p in q.preds), (v, q)
+            prev_hi = q.hi
 
 
-def new_scan(rep: SortedRepresentation, beta: int | None, push: bool) -> RestlessScan:
-    """An empty scan; only the quintuple path's has quintuples and frontiers."""
-    n, m = rep.graph.n, rep.m
-    win_lo, win_hi = rep.windows(beta)
-    return RestlessScan(
-        rep=rep,
-        edge_cost=[None] * m,
-        edge_count=[0] * m,
-        succ_lo=win_lo if push else list(win_hi),
-        succ_hi=win_hi,
-        intervals=[] if push else [deque() for _ in range(n)],
-        frontier=[] if push else [0] * n,
-        best_target=[None] * n,
-        target_count=[0] * n,
-        edge_tc=[None] * m,
-        touched=[],
-        stats={"quintuples": 0, "finalised": 0, "window_ops": 0},
-    )
-
-
-def finalise_up_to(scan: RestlessScan, v: int, j: int) -> None:
-    """Freeze cost/count of the covered positions up to j of v's out list;
-    the caller, with j at or past v's frontier, then moves the frontier.
+def finalise_up_to(scan: RestlessScan, lst: list[int], ivs: deque, j: int) -> None:
+    """Freeze cost/count of the positions up to j of a node's by-departure
+    list ``lst`` that its quintuples ``ivs`` cover; the caller, with j at
+    or past the node's frontier, then moves the frontier.
 
     One position at a time, front quintuple first: position q.lo gets
     q's cost and current eta, then the predecessors whose coverage ends
@@ -160,8 +136,6 @@ def finalise_up_to(scan: RestlessScan, v: int, j: int) -> None:
     once q.lo passes q.hi, which bounds every predecessor's coverage.
     Uncovered positions stay unreachable.
     """
-    lst = scan.rep.e_dep_node[v]
-    ivs = scan.intervals[v]
     edge_cost, edge_count, succ_hi = scan.edge_cost, scan.edge_count, scan.succ_hi
     finalised = 0
     while ivs and ivs[0].lo <= j:
@@ -195,16 +169,28 @@ def restless_forward(
     """Per-edge optimal-walk cost and count, and per-node target optima;
     a run whose windows are short takes ``push_forward``.
     ``debug_invariants`` checks the quintuple bookkeeping after each merge."""
+    n, m = rep.graph.n, rep.m
+    win_lo, win_hi = rep.windows(beta)
     push = pushes(rep, beta)
-    scan = new_scan(rep, beta, push)
+    scan = RestlessScan(
+        edge_cost=[None] * m,
+        edge_count=[0] * m,
+        succ_lo=win_lo if push else list(win_hi),
+        succ_hi=win_hi,
+        best_target=[None] * n,
+        target_count=[0] * n,
+        edge_tc=[None] * m,
+        touched=[],
+        stats={"quintuples": 0, "finalised": 0, "window_ops": 0},
+    )
     if push:
-        return push_forward(scan, source, criterion)
-    m = rep.m
+        return push_forward(rep, scan, source, criterion)
     gamma, extend, tc = criterion.gamma, criterion.extend, criterion.tc
     same, folded = extend is _same, tc is _folded
     edge_cost, edge_count = scan.edge_cost, scan.edge_count
     succ_lo = scan.succ_lo  # its succ_hi is the table's win_hi
-    intervals, frontier = scan.intervals, scan.frontier
+    intervals = [deque() for _ in range(n)]  # per node, its quintuples by position
+    frontier = [0] * n  # per node, its by-departure positions below it are final
     best_target, target_count, edge_tc = scan.best_target, scan.target_count, scan.edge_tc
     touched = scan.touched
     finalised = 0
@@ -212,7 +198,6 @@ def restless_forward(
     e_dep_node, dep_times = rep.e_dep_node, rep.dep_times
     e_arr_dep = rep.e_arr_dep
     tails, heads, arrs = rep.tails, rep.heads, rep.arrs
-    win_lo, win_hi = rep.windows(beta)
     scan.start = min(e_dep_node[source], default=m)
 
     # without a quintuple, finalising would only move the frontier
@@ -222,7 +207,7 @@ def restless_forward(
         if i >= frontier[u]:
             if intervals[u]:
                 q = intervals[u][0]
-                if q.lo == i:  # finalise_up_to(scan, u, i), inline
+                if q.lo == i:  # finalise_up_to(..., i) for position i alone, inline
                     edge_cost[k], edge_count[k] = q.cost, q.eta
                     finalised += 1
                     preds = q.preds
@@ -232,7 +217,7 @@ def restless_forward(
                     if j > q.hi:  # q.hi bounds every pred's coverage
                         intervals[u].popleft()
                 else:
-                    finalise_up_to(scan, u, i)
+                    finalise_up_to(scan, e_dep_node[u], intervals[u], i)
             frontier[u] = i + 1
         if u == source:
             # merge in the single-edge walk as one more candidate
@@ -263,7 +248,7 @@ def restless_forward(
         ws = win_lo[k]
         if ws > frontier[v]:
             if intervals[v]:
-                finalise_up_to(scan, v, ws - 1)
+                finalise_up_to(scan, e_dep_node[v], intervals[v], ws - 1)
             frontier[v] = ws
         we = win_hi[k] - 1
         if ws > we:
@@ -292,17 +277,17 @@ def restless_forward(
         # else k is strictly worse than all live walks and has no
         # uncovered tail, so its window stays empty
         if debug_invariants:
-            scan.check_invariants()
+            check_invariants(intervals, frontier, edge_count, win_hi)
 
     scan.stats["finalised"] += finalised
     return scan
 
 
-def push_forward(scan: RestlessScan, source: int, criterion: Criterion) -> RestlessScan:
+def push_forward(rep: SortedRepresentation, scan: RestlessScan, source: int,
+                 criterion: Criterion) -> RestlessScan:
     """The short-window forward, into a push scan: each reached edge's
     walks go straight into the positions of its window, which are
     scanned later; the source's one-edge walks are in place first."""
-    rep = scan.rep
     gamma, extend, tc = criterion.gamma, criterion.extend, criterion.tc
     same, folded = extend is _same, tc is _folded
     edge_cost, edge_count = scan.edge_cost, scan.edge_count
@@ -411,17 +396,3 @@ def restless_backward(
 
     fwd.stats["window_ops"] += window_ops
     return edge_bc
-
-
-def single_source_edge_betweenness(
-    rep: SortedRepresentation,
-    source: int,
-    criterion: Criterion,
-    beta: int | None,
-    targets: frozenset[int] | None = None,
-    debug_invariants: bool = False,
-) -> tuple[list[int], RestlessScan]:
-    """Forward then backward for one source, any criterion and bound, over
-    walks to ``targets``; returns (numerators over ``rec.denom``, rec)."""
-    fwd = restless_forward(rep, source, criterion, beta, debug_invariants)
-    return restless_backward(rep, source, criterion, fwd, targets), fwd

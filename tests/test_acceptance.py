@@ -17,7 +17,7 @@ from fractions import Fraction as F
 import pytest
 
 from tempobet.costs import CRITERION_NAMES, get_criterion, walk_cost
-from tempobet.driver import node_betweenness
+from tempobet.driver import node_betweenness, single_source_edge_betweenness
 from tempobet.graph import (
     TemporalGraph,
     build_sorted_representation,
@@ -25,9 +25,7 @@ from tempobet.graph import (
     to_edge_list,
 )
 from tempobet.metrics import kendall_tau, top_k_intersection, weighted_kendall_tau
-from tempobet.nonrestless import single_source_edge_betweenness as nonrestless_run
 from tempobet.oracle import g_loop, g_toy, oracle_betweenness
-from tempobet.restless import single_source_edge_betweenness as restless_run
 
 from conftest import edge_bc_by_original, make_random_graph, restless_paths
 
@@ -49,13 +47,14 @@ def _check_instance(g: TemporalGraph, failures: dict[str, list], monkeypatch) ->
             orc = oracle_betweenness(g, crit, beta, walks_by_source=walks_cache)
             for path in restless_paths(monkeypatch):
                 for s in range(g.n):
-                    edge_bc, back = restless_run(rep, s, crit, beta)
+                    edge_bc, back = single_source_edge_betweenness(rep, s, crit, beta, "restless")
                     got = edge_bc_by_original(rep, edge_bc, back.denom)
                     for e in range(rep.m):
                         if got[e] != orc.edge_bc.get((s, e), F(0)):
                             failures["oracle_eq"].append((tag, path, crit_name, beta, s, e))
                     if beta is None:
-                        other, other_back = nonrestless_run(rep, s, crit)
+                        other, other_back = single_source_edge_betweenness(
+                            rep, s, crit, None, "nonrestless")
                         if (other, other_back.denom) != (edge_bc, back.denom):
                             failures["cross_engine"].append((tag, path, crit_name, s))
                 if node_betweenness(g, crit, beta).values != orc.node_bc:
@@ -269,14 +268,14 @@ def test_criterion_6_linear_scaling_in_edges():
         runs = []
         for _ in range(5):
             start = time.perf_counter()
-            nonrestless_run(rep, 0, sh)
+            single_source_edge_betweenness(rep, 0, sh, None, "nonrestless")
             runs.append(time.perf_counter() - start)
         t_nonrestless.append(min(runs))
 
         runs = []
         for _ in range(5):
             start = time.perf_counter()
-            restless_run(rep, 0, sh, beta_used)
+            single_source_edge_betweenness(rep, 0, sh, beta_used, "restless")
             runs.append(time.perf_counter() - start)
         t_restless.append(min(runs))
 

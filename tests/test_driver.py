@@ -10,6 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 import tempobet
+from tempobet import driver, nonrestless, restless
 from tempobet.costs import CRITERION_NAMES, ConfigError, Criterion, get_criterion
 from tempobet.driver import (
     BLOCK,
@@ -81,6 +82,49 @@ def test_single_worker_run_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+#: Per engine: its module, its two passes, and where backward takes the record.
+ENGINE_PASSES = {
+    "nonrestless": (nonrestless, "forward_phase", "backward_phase", 2),
+    "restless": (restless, "restless_forward", "restless_backward", 3),
+}
+
+
+@pytest.mark.parametrize("beta, engine", [(None, "nonrestless"), (2, "restless")])
+def test_each_source_runs_one_forward_and_one_backward(toy, beta, engine, monkeypatch):
+    """What perfbench's tracer relies on: it wraps these module attributes,
+    and a single-worker run makes one driver call per source, enclosing
+    exactly one forward and one backward of the engine auto picks, which
+    returns forward's record, handed to backward by position."""
+    calls = []
+    seen = {}
+
+    def record(module, attr):
+        original = getattr(module, attr)
+
+        def wrapper(*args, **kwargs):
+            calls.append(("in", attr, args[1]))
+            result = original(*args, **kwargs)
+            calls.append(("out", attr, args[1]))
+            seen.setdefault(attr, []).append((args, result))
+            return result
+
+        monkeypatch.setattr(module, attr, wrapper)
+
+    record(driver, "single_source_edge_betweenness")
+    for module, forward, backward, _ in ENGINE_PASSES.values():
+        record(module, forward)
+        record(module, backward)
+    node_betweenness(toy, "sh", beta)
+
+    _, forward, backward, rec_at = ENGINE_PASSES[engine]
+    run = "single_source_edge_betweenness"
+    steps = [("in", run), ("in", forward), ("out", forward),
+             ("in", backward), ("out", backward), ("out", run)]
+    assert calls == [(step, attr, s) for s in range(toy.n) for step, attr in steps]
+    for (_, (_, rec)), (_, fwd), (args, _) in zip(seen[run], seen[forward], seen[backward]):
+        assert rec is fwd is args[rec_at]
 
 
 def test_source_subset_additivity():

@@ -11,15 +11,16 @@ graphs.  The node scores of a disjoint union of two graphs, relabelled
 or not, are its parts' scores, which checks the driver's merge of
 per-source and per-block sums.  Two checks are invariants of restless
 forward instead, which its backward relies on: its quintuple path
-leaves no quintuple and no cost on an unreached edge, and a head's
-successor windows, in reverse arrival order, only move left while their
-extended cost stays the same.  Backward's node sums are checked on
-both forward paths.  Time reversal relates two criteria on two graphs,
-on small graphs and at benchmark scale; as runs take la and sla on the
-reversed graph, their scores are also checked against la and sla
-aggregated on the graph itself (conftest.direct_latest_departure), past
-the oracle's reach.  A run's traced memory peak must not grow with its
-number of sources.
+leaves no quintuple (its record equals the push path's) and no cost on
+an unreached edge, and a head's successor windows, in reverse arrival
+order, only move left while their extended cost stays the same.
+Backward's node sums are checked on both forward paths.  Time reversal
+relates two criteria on two graphs, on small graphs and at benchmark
+scale; as runs take la and sla on the reversed graph, their scores are
+also checked against la and sla aggregated on the graph itself
+(conftest.direct_latest_departure), past the oracle's reach.  The
+traced memory peak of a run, and of one block of sources, must not
+grow with its number of sources.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ import pytest
 
 from tempobet import restless
 from tempobet.costs import CRITERION_NAMES, get_criterion
-from tempobet.driver import BLOCK, node_betweenness, single_source_edge_betweenness
+from tempobet.driver import BLOCK, _block_sums, node_betweenness, single_source_edge_betweenness
 from tempobet.graph import (
     TemporalEdge,
     TemporalGraph,
@@ -39,9 +40,7 @@ from tempobet.graph import (
     random_temporal_graph,
 )
 from tempobet.nonrestless import forward_phase, intermediate_phase
-from tempobet.nonrestless import single_source_edge_betweenness as nonrestless_run
 from tempobet.restless import restless_forward
-from tempobet.restless import single_source_edge_betweenness as restless_run
 
 from conftest import (
     direct_latest_departure,
@@ -83,7 +82,7 @@ def test_lean_target_optima_equal_intermediate_phase(graph, crit_name):
         for s in sources:
             fwd = forward_phase(rep, s, crit)
             want = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, crit, fwd.start)
-            _, back = nonrestless_run(rep, s, crit)
+            _, back = single_source_edge_betweenness(rep, s, crit, None, "nonrestless")
             assert back.best_target == want.best_target
             assert back.target_count == want.target_count
 
@@ -100,7 +99,7 @@ def test_restless_target_optima_equal_intermediate_phase(graph, crit_name, beta)
         for s in sources:
             fwd = restless_forward(rep, s, crit, beta)
             want = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, crit, fwd.start)
-            _, back = restless_run(rep, s, crit, beta)
+            _, back = single_source_edge_betweenness(rep, s, crit, beta, "restless")
             assert back.best_target == want.best_target
             assert back.target_count == want.target_count
             assert back.edge_tc == want.edge_tc
@@ -108,20 +107,28 @@ def test_restless_target_optima_equal_intermediate_phase(graph, crit_name, beta)
 
 @pytest.mark.parametrize("beta", [0, 3, None])
 @pytest.mark.parametrize("crit_name", CRITERION_NAMES)
-def test_restless_forward_leaves_no_quintuple(graph, crit_name, beta, quintuple_path):
+def test_restless_forward_leaves_no_quintuple(graph, crit_name, beta, monkeypatch):
     """Every covered position is scanned after its covering edges, and
-    its tail-side step freezes it, so no quintuple outlives the scan."""
+    its tail-side step freezes it, so no quintuple outlives the scan.  A
+    position of one that did would keep count 0, so the check is that
+    the quintuple path's record equals the push path's, which makes no
+    quintuple, in every field but its windows' starts (succ_lo) and stats."""
     crit = get_criterion(crit_name)
     made = 0
     for g, sources in _graphs_and_sources(graph):
         rep = build_sorted_representation(g)
         for s in sources:
-            fwd = restless_forward(rep, s, crit, beta)
-            assert not any(fwd.intervals)
+            push, fwd = [restless_forward(rep, s, crit, beta) for _ in restless_paths(monkeypatch)]
+            assert _results(fwd) == _results(push), s
             # backward's window sums read a None cost as unreached
             assert all((c is None) == (not x) for c, x in zip(fwd.edge_cost, fwd.edge_count))
             made += fwd.stats["quintuples"]
     assert made
+
+
+def _results(fwd) -> dict:
+    """The fields of a restless record that both forward paths share."""
+    return {k: v for k, v in vars(fwd).items() if k not in ("succ_lo", "stats")}
 
 
 @pytest.mark.parametrize("beta", [0, 3, None])
@@ -175,8 +182,8 @@ def test_restless_at_infinity_equals_nonrestless(graph, crit_name):
     crit = get_criterion(crit_name)
     rep = build_sorted_representation(graph)
     for s in SOURCES:
-        lean, lean_back = nonrestless_run(rep, s, crit)
-        general, general_back = restless_run(rep, s, crit, None)
+        lean, lean_back = single_source_edge_betweenness(rep, s, crit, None, "nonrestless")
+        general, general_back = single_source_edge_betweenness(rep, s, crit, None, "restless")
         assert lean_back.denom == general_back.denom
         assert lean == general
         assert any(lean)
@@ -385,3 +392,25 @@ def test_traced_peak_does_not_grow_with_sources(crit_name, beta, workers):
     small = _traced_peak(g, crit_name, beta, range(base), workers)
     big = _traced_peak(g, crit_name, beta, range(3 * base), workers)
     assert big <= 1.25 * small, (small, big)
+
+
+def test_block_peak_does_not_grow_with_its_sources(monkeypatch):
+    """A block frees each source's record before the next source runs, so
+    on the dense benchmark graph the traced peak of a block of 16 sources
+    stays within a quarter of the peak of a block of one."""
+    workloads = perfbench_workloads(monkeypatch)
+    dense = workloads.WORKLOADS["dense-sh-exact"]
+    rep = build_sorted_representation(parse_edge_list(workloads.input_text(dense, 1)))
+    rep.windows(dense.beta)  # built once per run, before any block
+    crit = get_criterion(dense.criterion)
+
+    def peak(block: list[int]) -> int:
+        tracemalloc.start()
+        try:
+            _block_sums(rep, crit, dense.beta, "auto", None, block)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, block = peak([0]), peak(list(range(BLOCK)))
+    assert block <= 1.25 * one, (one, block)

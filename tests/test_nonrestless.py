@@ -6,18 +6,14 @@ from fractions import Fraction as F
 import pytest
 
 from tempobet.costs import CRITERION_NAMES, get_criterion, walk_cost
-from tempobet.driver import node_betweenness
+from tempobet.driver import node_betweenness, single_source_edge_betweenness
 from tempobet.graph import (
     TemporalEdge,
     TemporalGraph,
     build_sorted_representation,
     random_temporal_graph,
 )
-from tempobet.nonrestless import (
-    forward_phase,
-    intermediate_phase,
-    single_source_edge_betweenness,
-)
+from tempobet.nonrestless import forward_phase, intermediate_phase
 from tempobet.oracle import enumerate_walks, oracle_betweenness
 
 from conftest import check_target_record, edge_bc_by_original, make_random_graph
@@ -76,7 +72,7 @@ def test_intermediate_unreachable_sentinels(toy):
 
 def test_backward_toy_edge_scores(toy):
     rep = build_sorted_representation(toy)
-    bc, back = single_source_edge_betweenness(rep, 0, get_criterion("sh"))
+    bc, back = single_source_edge_betweenness(rep, 0, "sh", None, "nonrestless")
     assert edge_bc_by_original(rep, bc, back.denom) == {
         0: F(3, 2),  # a->b: terminal to b, half of one a->d walk
         1: F(0),     # b->c is on no optimal walk from a
@@ -88,13 +84,13 @@ def test_backward_toy_edge_scores(toy):
 
 def test_backward_source_without_outgoing_edges(toy):
     rep = build_sorted_representation(toy)
-    bc, _ = single_source_edge_betweenness(rep, 3, get_criterion("sh"))
+    bc, _ = single_source_edge_betweenness(rep, 3, "sh", None, "nonrestless")
     assert bc == [F(0)] * rep.m
 
 
 def test_edge_off_optimal_walks_scores_zero(toy):
     rep = build_sorted_representation(toy)
-    bc, back = single_source_edge_betweenness(rep, 0, get_criterion("sh"))
+    bc, back = single_source_edge_betweenness(rep, 0, "sh", None, "nonrestless")
     assert edge_bc_by_original(rep, bc, back.denom)[1] == 0  # b->c from source a
 
 
@@ -138,7 +134,7 @@ def test_engine_equals_oracle_on_random_graphs(crit_name):
         rep = build_sorted_representation(g)
         orc = oracle_betweenness(g, crit, None)
         for s in range(g.n):
-            bc, back = single_source_edge_betweenness(rep, s, crit)
+            bc, back = single_source_edge_betweenness(rep, s, crit, None, "nonrestless")
             got = edge_bc_by_original(rep, bc, back.denom)
             for e in range(g.m):
                 assert got[e] == orc.edge_bc.get((s, e), F(0))
@@ -184,7 +180,7 @@ def test_forward_walks_returning_to_source_and_boundary_departures(crit_name):
             want_cost = min(walk_costs, default=None)
             assert fwd.edge_cost[k] == want_cost
             assert fwd.edge_count[k] == walk_costs.count(want_cost)
-        bc, back = single_source_edge_betweenness(rep, s, crit)
+        bc, back = single_source_edge_betweenness(rep, s, crit, None, "nonrestless")
         by_edge = edge_bc_by_original(rep, bc, back.denom)
         assert by_edge == {e: orc.edge_bc.get((s, e), F(0)) for e in range(g.m)}
     assert node_betweenness(g, crit_name).values == orc.node_bc

@@ -8,7 +8,7 @@ import pytest
 
 from tempobet import restless
 from tempobet.costs import CRITERION_NAMES, get_criterion, walk_cost
-from tempobet.driver import node_betweenness, revisit_continuations
+from tempobet.driver import node_betweenness, revisit_continuations, single_source_edge_betweenness
 from tempobet.graph import (
     TemporalEdge,
     TemporalGraph,
@@ -17,16 +17,14 @@ from tempobet.graph import (
     random_temporal_graph,
 )
 from tempobet.nonrestless import forward_phase as nonrestless_forward
-from tempobet.nonrestless import single_source_edge_betweenness as nonrestless_run
 from tempobet.nonrestless import intermediate_phase
 from tempobet.oracle import enumerate_walks, g_loop, g_toy, oracle_betweenness
 from tempobet.restless import (
     Quintuple,
+    RestlessScan,
     finalise_up_to,
-    new_scan,
     restless_backward,
     restless_forward,
-    single_source_edge_betweenness,
 )
 
 from conftest import (
@@ -83,23 +81,25 @@ def _staged_graph() -> TemporalGraph:
 
 
 def _staged_scan():
-    """A quintuple-path scan whose window ends the test sets in its own
-    list, never in the run's memoised table."""
+    """An empty record, whose window ends the test sets in its own lists
+    and never in the run's memoised table, and node 0's by-departure list."""
     rep = build_sorted_representation(_staged_graph())
-    scan = new_scan(rep, None, False)
-    scan.succ_hi = [0] * rep.m
-    return rep, scan
+    n, m = rep.graph.n, rep.m
+    scan = RestlessScan(edge_cost=[None] * m, edge_count=[0] * m, succ_lo=[0] * m,
+                        succ_hi=[0] * m, best_target=[None] * n, target_count=[0] * n,
+                        edge_tc=[None] * m, touched=[], stats={"finalised": 0})
+    return scan, rep.e_dep_node[0]
 
 
 def test_finalise_consumes_whole_quintuple():
-    rep, scan = _staged_scan()
+    scan, lst = _staged_scan()
     pred = 0  # the (2,0,1,1) edge, covering both of node 0's first two slots
     scan.edge_count[pred] = 3
     scan.succ_hi[pred] = 2
-    scan.intervals[0].append(Quintuple(0, 1, 5, deque([pred]), 3))
-    finalise_up_to(scan, 0, 1)
-    assert not scan.intervals[0]
-    first = rep.e_dep_node[0][0]
+    ivs = deque([Quintuple(0, 1, 5, deque([pred]), 3)])
+    finalise_up_to(scan, lst, ivs, 1)
+    assert not ivs
+    first = lst[0]
     assert scan.edge_cost[first] == 5 and scan.edge_count[first] == 3
 
 
@@ -107,41 +107,39 @@ def test_finalise_staged_predecessor_consumption():
     """Two predecessors whose coverage ends at different positions: the
     first sub-range keeps the full count, the rest drops the consumed
     predecessor's walks."""
-    rep, scan = _staged_scan()
+    scan, lst = _staged_scan()
     pa, pb = 0, 1  # the two (2,0,...) edges acting as predecessors
     scan.edge_count[pa], scan.edge_count[pb] = 2, 3
     scan.succ_hi[pa], scan.succ_hi[pb] = 1, 2
-    scan.intervals[0].append(Quintuple(0, 1, 6, deque([pa, pb]), 5))
+    ivs = deque([Quintuple(0, 1, 6, deque([pa, pb]), 5)])
 
-    finalise_up_to(scan, 0, 0)
-    pos0 = rep.e_dep_node[0][0]
+    finalise_up_to(scan, lst, ivs, 0)
+    pos0 = lst[0]
     assert scan.edge_cost[pos0] == 6 and scan.edge_count[pos0] == 5
-    q = scan.intervals[0][0]
+    q = ivs[0]
     assert q.lo == 1 and q.eta == 3 and list(q.preds) == [pb]
 
-    finalise_up_to(scan, 0, 1)
-    pos1 = rep.e_dep_node[0][1]
+    finalise_up_to(scan, lst, ivs, 1)
+    pos1 = lst[1]
     assert scan.edge_cost[pos1] == 6 and scan.edge_count[pos1] == 3
-    assert not scan.intervals[0]
+    assert not ivs
 
 
 def test_finalise_across_gap_and_two_quintuples():
     """One call freezes a quintuple, skips an uncovered position and
     freezes the next quintuple at its own cost."""
-    rep, scan = _staged_scan()
+    scan, lst = _staged_scan()
     pa, pb = 0, 1  # the two (2,0,...) edges acting as predecessors
     scan.edge_count[pa], scan.edge_count[pb] = 2, 3
     scan.succ_lo[pa], scan.succ_hi[pa] = 0, 1
     scan.succ_lo[pb], scan.succ_hi[pb] = 2, 3
-    scan.intervals[0].extend(
-        [Quintuple(0, 0, 5, deque([pa]), 2), Quintuple(2, 2, 6, deque([pb]), 3)]
-    )
-    finalise_up_to(scan, 0, 2)
-    pos0, pos1, pos2 = rep.e_dep_node[0]
+    ivs = deque([Quintuple(0, 0, 5, deque([pa]), 2), Quintuple(2, 2, 6, deque([pb]), 3)])
+    finalise_up_to(scan, lst, ivs, 2)
+    pos0, pos1, pos2 = lst
     assert (scan.edge_cost[pos0], scan.edge_count[pos0]) == (5, 2)
     assert scan.edge_count[pos1] == 0
     assert (scan.edge_cost[pos2], scan.edge_count[pos2]) == (6, 3)
-    assert not any(scan.intervals)
+    assert not ivs
     assert scan.stats["finalised"] == 2
 
 
@@ -167,8 +165,8 @@ def test_staged_consumption_full_run_matches_oracle(quintuple_path):
     assert by_count[3] == 1 and by_cost[3] == 2
     assert by_count[4] == 0 and by_cost[4] is None
     orc = oracle_betweenness(g, crit, 1)
-    bc, back = single_source_edge_betweenness(rep, 0, crit, 1)
-    got = edge_bc_by_original(rep, bc, back.denom)
+    bc = restless_backward(rep, 0, crit, fwd)
+    got = edge_bc_by_original(rep, bc, fwd.denom)
     for e in range(g.m):
         assert got[e] == orc.edge_bc.get((0, e), F(0))
 
@@ -242,7 +240,7 @@ def test_tail_side_step_finalising_several_positions(engine, crit_name, beta, mo
 
 def test_unreachable_edges_score_zero(loop):
     rep = build_sorted_representation(loop)
-    bc, _ = single_source_edge_betweenness(rep, 3, get_criterion("fa"), 2)
+    bc, _ = single_source_edge_betweenness(rep, 3, "fa", 2, "restless")
     assert bc == [F(0)] * rep.m
 
 
@@ -254,8 +252,8 @@ def test_beta_infinity_matches_nonrestless(crit_name):
         g = make_random_graph(rng)
         rep = build_sorted_representation(g)
         for s in range(g.n):
-            b_fast, _ = nonrestless_run(rep, s, crit)
-            b_gen, _ = single_source_edge_betweenness(rep, s, crit, None)
+            b_fast, _ = single_source_edge_betweenness(rep, s, crit, None, "nonrestless")
+            b_gen, _ = single_source_edge_betweenness(rep, s, crit, None, "restless")
             assert b_fast == b_gen
 
 
@@ -270,14 +268,13 @@ def test_engine_equals_oracle_all_criteria(crit_name, monkeypatch):
             rep = build_sorted_representation(g)
             for path in restless_paths(monkeypatch):
                 for s in range(g.n):
-                    bc, back = single_source_edge_betweenness(
-                        rep, s, crit, beta, debug_invariants=True
-                    )
-                    check_windows(rep, beta, restless_forward(rep, s, crit, beta))
-                    got = edge_bc_by_original(rep, bc, back.denom)
+                    fwd = restless_forward(rep, s, crit, beta, debug_invariants=True)
+                    check_windows(rep, beta, fwd)
+                    bc = restless_backward(rep, s, crit, fwd)
+                    got = edge_bc_by_original(rep, bc, fwd.denom)
                     for e in range(g.m):
                         assert got[e] == orc.edge_bc.get((s, e), F(0)), (path, s, e)
-                    check_target_record(rep, s, back, orc)
+                    check_target_record(rep, s, fwd, orc)
 
 
 @pytest.mark.parametrize("crit_name", CRITERION_NAMES)
@@ -416,9 +413,9 @@ def test_push_and_quintuple_paths_agree(crit_name, monkeypatch):
             for _ in restless_paths(monkeypatch):
                 fwd = restless_forward(rep, s, crit, beta)
                 check_windows(rep, beta, fwd)
-                bc, back = single_source_edge_betweenness(rep, s, crit, beta)
+                bc = restless_backward(rep, s, crit, fwd)
                 runs.append((fwd.edge_cost, fwd.edge_count, fwd.best_target, fwd.target_count,
-                             fwd.edge_tc, fwd.touched, fwd.start, bc, back.node_num, back.denom))
+                             fwd.edge_tc, fwd.touched, fwd.start, bc, fwd.node_num, fwd.denom))
             assert runs[0] == runs[1], (beta, s)
 
 
@@ -459,10 +456,10 @@ def test_scan_starts_at_first_reachable_edge(crit_name, monkeypatch):
                 fwd = restless_forward(rep, s, crit, beta, debug_invariants=True)
                 assert fwd.start == min(rep.e_dep_node[s], default=rep.m)
                 assert not any(fwd.edge_count[:fwd.start])
-                runs = [single_source_edge_betweenness(rep, s, crit, beta)]
+                runs = [single_source_edge_betweenness(rep, s, crit, beta, "restless")]
                 if beta is None:
                     assert nonrestless_forward(rep, s, crit).start == fwd.start
-                    runs.append(nonrestless_run(rep, s, crit))
+                    runs.append(single_source_edge_betweenness(rep, s, crit, None, "nonrestless"))
                 for bc, back in runs:
                     got = edge_bc_by_original(rep, bc, back.denom)
                     for e in range(g.m):
