@@ -74,7 +74,10 @@ def check_beta(beta) -> int | None:
 def _check_sources(graph: TemporalGraph, sources: Sequence[int] | None) -> list[int]:
     if sources is None:
         return list(range(graph.n))
-    src_list = list(sources)
+    try:
+        src_list = list(sources)
+    except TypeError:
+        raise ConfigError(f"sources must be a sequence of node ids, got {sources!r}") from None
     for s in src_list:
         if not _is_int(s) or not 0 <= s < graph.n:
             raise ConfigError(f"source {s!r} is not a node id below {graph.n}")
@@ -100,7 +103,7 @@ def single_source_edge_betweenness(
     beta: int | None,
     engine: str = "auto",
     targets: frozenset[int] | None = None,
-) -> tuple[list[int], nonrestless.ForwardState | restless.RestlessScan]:
+) -> tuple[list[int], nonrestless.SourceRun]:
     """Forward then backward for one source, on the engine ``engine``
     names (auto: picked by beta), each pass called through its module.
 

@@ -165,7 +165,7 @@ def parse_edge_list(stream: TextIO | str, undirected: bool = False) -> TemporalG
     mapped to dense ids in first appearance order.  With ``undirected``
     every line yields both edge orientations.  Raises ParseError with the
     offending line number for malformed lines, non-positive travel times,
-    or self-loops.
+    self-loops, or a head label starting with '#'.
 
     Input is split by ``str.splitlines()`` a piece at a time (a file's
     lines, or a ``str`` cut after newlines by ``_text_chunks``), so no list
@@ -192,6 +192,8 @@ def parse_edge_list(stream: TextIO | str, undirected: bool = False) -> TemporalG
         a, b = tokens[0], tokens[1]
         if a == b:
             raise ParseError(line_no, f"self-loop {a!r} rejected")
+        if b.startswith("#"):  # as a tail it would start a comment
+            raise ParseError(line_no, f"label {b!r} starts with '#'")
         u = ids.get(a)
         if u is None:
             u = ids[a] = len(ids)

@@ -15,7 +15,7 @@ backward  -- edge betweenness via the successor recursion (Brandes-style
              edge itself ends a target-optimal walk; its score is its
              walk count times that dependency.
 
-Backward tests no cost.  A live edge k into v (``ForwardState.live``)
+Backward tests no cost.  A live edge k into v (``SourceRun.live``)
 leaves v's optimum at k's cost until the next live edge into v, whose
 head-side step first finalises v's out-edges departing before it
 arrives.  So each out-edge that k's window adds to v's sum was finalised,
@@ -40,38 +40,39 @@ from .graph import SortedRepresentation
 
 
 @dataclass
-class ForwardState:
-    """One source's run: forward's results, then backward's sums.
+class SourceRun:
+    """One source's run on either engine: forward's results, then
+    backward's sums.
 
-    Edge arrays are indexed by position in the by-arrival order.
-    ``live`` lists, in scan order, the position of every edge that ended
-    an optimal walk to its head at scan time (into the source only under
-    fo); its successors start at its window start in the run's table
-    (``rep.windows(None)``).  No other edge has successors, nor ends a
-    target-optimal walk to a node but the source: a live edge to its head
-    arrived no later at a lower cost, and ``tc`` rises with the cost and
-    never falls with the arrival.  The target lists fold in live edges;
-    for sh, la and sla they are the cost lists.  ``touched`` lists the
-    nodes with a reached in-edge, in first-walk order.  Backward sets
+    Edge arrays are indexed by position in the by-arrival order; no
+    position below ``start`` is reached.  Edge k's successor window is
+    positions succ_lo[k]..succ_hi[k] - 1 of its head's by-departure list.
+    ``live`` lists, in scan order, the positions backward visits: the
+    lean engine's live edges (see ``forward_phase``), the restless
+    engine's reached ones.  The target record is ``best_target`` and
+    ``target_count`` per node, over its reached in-edges, and ``edge_tc``
+    per reached edge, the target value of its walks.  ``touched`` lists
+    the nodes with a reached in-edge, in first-walk order.  Backward sets
     ``node_num[v]``, v's in-edge scores summed times the int ``denom``.
     """
 
-    best_cost: list
-    best_count: list[int]
     edge_cost: list
     edge_count: list[int]
+    succ_lo: list[int]
+    succ_hi: list[int]
     best_target: list
     target_count: list[int]
     edge_tc: list
-    live: list[int]
-    touched: list[int]
-    start: int  # no position below it is reached
+    live: list[int] = field(default_factory=list)
+    touched: list[int] = field(default_factory=list)
+    start: int = 0
+    stats: dict[str, int] = field(default_factory=dict)
     node_num: list[int] = field(default_factory=list)
     denom: int = 1
 
 
 def forward_phase(rep: SortedRepresentation, source: int,
-                  criterion: Criterion = get_criterion("sh")) -> ForwardState:
+                  criterion: Criterion = get_criterion("sh")) -> SourceRun:
     """Scan edges by arrival, counting optimal walks from ``source``.
 
     An out-edge of v is "finalised" the moment no later-scanned walk can
@@ -88,6 +89,15 @@ def forward_phase(rep: SortedRepresentation, source: int,
     as backward tests no cost (see above), no in-edge of the source is
     live.  Under fo, where every cost is 0 and such walks tie, the source
     starts as the empty walk.
+
+    An edge is live when it ends an optimal walk to its head at scan
+    time; its successors start at its window start in the run's table
+    (``rep.windows(None)``, the record's succ_lo and succ_hi).  No other
+    edge has successors, nor ends a target-optimal walk to a node but the
+    source: a live edge to its head arrived no later at a lower cost, and
+    ``tc`` rises with the cost and never falls with the arrival.  So the
+    target record folds in live edges only; for sh, la and sla it is the
+    node optimum itself.
     """
     n = rep.graph.n
     m = rep.m
@@ -106,7 +116,7 @@ def forward_phase(rep: SortedRepresentation, source: int,
 
     e_dep_node, e_arr_dep = rep.e_dep_node, rep.e_arr_dep
     tails, heads, arrs = rep.tails, rep.heads, rep.arrs
-    win_lo = rep.windows(None)[0]
+    win_lo, win_hi = rep.windows(None)
     fo = criterion.name == "fo"
     if fo:
         best_cost[source], best_count[source], ext[source] = 0, 1, extend(0)
@@ -171,8 +181,8 @@ def forward_phase(rep: SortedRepresentation, source: int,
                 elif val == cur:
                     target_count[v] += cnt
 
-    return ForwardState(best_cost, best_count, edge_cost, edge_count,
-                        best_target, target_count, edge_tc, live, touched, start)
+    return SourceRun(edge_cost, edge_count, win_lo, win_hi, best_target,
+                     target_count, edge_tc, live, touched, start)
 
 
 def intermediate_phase(
@@ -216,11 +226,11 @@ def intermediate_phase(
 
 
 def terminal_shares(rec, source: int, targets: frozenset[int] | None = None) -> list[int]:
-    """Set ``rec.denom`` (either engine's run record) to L, the lcm of the
-    target counts of the nodes in ``targets`` (None: all) but ``source``,
-    and return L // count per such node, else 0: the dependency, times L,
-    of an edge ending a target-optimal walk to it.  Only the nodes in
-    ``rec.touched`` have a target count, so only they are visited."""
+    """Set ``rec.denom`` to L, the lcm of the target counts of the nodes
+    in ``targets`` (None: all) but ``source``, and return L // count per
+    such node, else 0: the dependency, times L, of an edge ending a
+    target-optimal walk to it.  Only the nodes in ``rec.touched`` have a
+    target count, so only they are visited."""
     counts = rec.target_count
     reached = [v for v in rec.touched if v != source and (targets is None or v in targets)]
     denom = 1
@@ -239,7 +249,7 @@ def terminal_shares(rec, source: int, targets: frozenset[int] | None = None) -> 
 def backward_phase(
     rep: SortedRepresentation,
     source: int,
-    fwd: ForwardState,
+    fwd: SourceRun,
     targets: frozenset[int] | None = None,
 ) -> list[int]:
     """Per-edge betweenness numerators for one source, by the successor
@@ -268,7 +278,7 @@ def backward_phase(
 
     heads = rep.heads
     e_dep_node = rep.e_dep_node
-    win_lo = rep.windows(None)[0]
+    win_lo = fwd.succ_lo
     edge_cost, edge_count = fwd.edge_cost, fwd.edge_count
     edge_tc, best_target = fwd.edge_tc, fwd.best_target
 

@@ -28,7 +28,8 @@ quintuple covers only positions departing no earlier than its covering
 edges arrive, and as travel is positive each such position's edge
 arrives later, so it is scanned afterwards and its tail-side step
 freezes it.  The quintuples and per-node frontiers are thus forward's
-locals, and the run's record (``RestlessScan``) keeps only results.
+locals, and the run's record (``nonrestless.SourceRun``, both engines'
+one record) keeps only results.
 
 A scanned edge's cost and count are final, so forward folds its target
 value into its head's optimal target value and count: no intermediate
@@ -37,13 +38,14 @@ over int dependency numerators, except that an edge's successor window
 starts where its coverage started: the per-node running sum follows
 those windows right to left, by slices of the head's by-departure list.
 
-Every pass starts at the source's earliest-arriving out-edge, as every
+Forward starts at the source's earliest-arriving out-edge, as every
 reached edge arrives no earlier.  The edges skipped would only move
 tail-side frontiers past positions that depart before every later
 arrival, which a window start from the run's table (``rep.windows``)
-skips anyway, with no clamp.  Where ``extend`` or ``tc`` returns the
-cost (``_same``, ``_folded``), both passes read the cost instead of
-calling it.
+skips anyway, with no clamp.  Forward lists the positions it reaches, in
+scan order (``live``), and backward visits just those, in reverse.
+Where ``extend`` or ``tc`` returns the cost (``_same``, ``_folded``),
+both passes read the cost instead of calling it.
 
 Short windows skip the quintuples.  When the run's continuation windows
 hold at most ``PUSH_MEAN_WINDOW`` positions on average (decided once per
@@ -61,12 +63,12 @@ windows and filters their positions by cost as it does recorded ones.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .costs import Criterion, _folded, _same
 from .graph import SortedRepresentation
 # unused intermediate_phase stays importable: perfbench's tracer patches it here by name
-from .nonrestless import intermediate_phase, terminal_shares  # noqa: F401
+from .nonrestless import SourceRun, intermediate_phase, terminal_shares  # noqa: F401
 
 #: Forward pushes walks into windows, with no quintuple, when the run's
 #: windows hold at most this many positions per edge on average: the
@@ -84,34 +86,6 @@ class Quintuple:
     eta: int
 
 
-@dataclass
-class RestlessScan:
-    """One source's run: forward's results, then backward's sums.
-
-    Edge arrays are indexed by position in the by-arrival order; no
-    position below ``start`` is reached.  Edge k's successor window is
-    positions succ_lo[k]..succ_hi[k] - 1 of its head's by-departure list;
-    ``succ_hi`` is the run's ``win_hi``.  The quintuple path records where
-    coverage starts in ``succ_lo``, which holds ``win_hi`` (empty) until
-    then; the push path's ``succ_lo`` is the run's ``win_lo``.  Backward
-    sets ``node_num[v]``, the sum of v's in-edge scores times the int
-    ``denom``.
-    """
-
-    edge_cost: list
-    edge_count: list[int]
-    succ_lo: list[int]
-    succ_hi: list[int]
-    best_target: list[object]  # per node, over its reached in-edges
-    target_count: list[int]  # walks ending at best_target
-    edge_tc: list  # per reached edge, the target value of its walks
-    touched: list[int]  # nodes with a reached in-edge, in first-walk order
-    start: int = 0
-    stats: dict[str, int] = field(default_factory=dict)
-    node_num: list[int] = field(default_factory=list)
-    denom: int = 1
-
-
 def check_invariants(intervals: list[deque], frontier: list[int],
                      edge_count: list[int], succ_hi: list[int]) -> None:
     """Debug-only: the quintuple path's bookkeeping matches its preds."""
@@ -125,7 +99,7 @@ def check_invariants(intervals: list[deque], frontier: list[int],
             prev_hi = q.hi
 
 
-def finalise_up_to(scan: RestlessScan, lst: list[int], ivs: deque, j: int) -> None:
+def finalise_up_to(scan: SourceRun, lst: list[int], ivs: deque, j: int) -> None:
     """Freeze cost/count of the positions up to j of a node's by-departure
     list ``lst`` that its quintuples ``ivs`` cover; the caller, with j at
     or past the node's frontier, then moves the frontier.
@@ -165,24 +139,21 @@ def restless_forward(
     criterion: Criterion,
     beta: int | None,
     debug_invariants: bool = False,
-) -> RestlessScan:
+) -> SourceRun:
     """Per-edge optimal-walk cost and count, and per-node target optima;
     a run whose windows are short takes ``push_forward``.
-    ``debug_invariants`` checks the quintuple bookkeeping after each merge."""
+    ``debug_invariants`` checks the quintuple bookkeeping after each merge.
+
+    The record's ``succ_hi`` is the run's ``win_hi``.  The quintuple path
+    records where coverage starts in ``succ_lo``, which holds ``win_hi``
+    (empty) until then; the push path's ``succ_lo`` is the run's ``win_lo``.
+    """
     n, m = rep.graph.n, rep.m
     win_lo, win_hi = rep.windows(beta)
     push = pushes(rep, beta)
-    scan = RestlessScan(
-        edge_cost=[None] * m,
-        edge_count=[0] * m,
-        succ_lo=win_lo if push else list(win_hi),
-        succ_hi=win_hi,
-        best_target=[None] * n,
-        target_count=[0] * n,
-        edge_tc=[None] * m,
-        touched=[],
-        stats={"quintuples": 0, "finalised": 0, "window_ops": 0},
-    )
+    scan = SourceRun([None] * m, [0] * m, win_lo if push else list(win_hi), win_hi,
+                     [None] * n, [0] * n, [None] * m, start=min(rep.e_dep_node[source], default=m),
+                     stats={"quintuples": 0, "finalised": 0, "window_ops": 0})
     if push:
         return push_forward(rep, scan, source, criterion)
     gamma, extend, tc = criterion.gamma, criterion.extend, criterion.tc
@@ -192,13 +163,12 @@ def restless_forward(
     intervals = [deque() for _ in range(n)]  # per node, its quintuples by position
     frontier = [0] * n  # per node, its by-departure positions below it are final
     best_target, target_count, edge_tc = scan.best_target, scan.target_count, scan.edge_tc
-    touched = scan.touched
+    live, touched = scan.live, scan.touched
     finalised = 0
 
     e_dep_node, dep_times = rep.e_dep_node, rep.dep_times
     e_arr_dep = rep.e_arr_dep
     tails, heads, arrs = rep.tails, rep.heads, rep.arrs
-    scan.start = min(e_dep_node[source], default=m)
 
     # without a quintuple, finalising would only move the frontier
     for k in range(scan.start, m):
@@ -230,6 +200,7 @@ def restless_forward(
         cnt = edge_count[k]
         if not cnt:
             continue
+        live.append(k)
 
         v = heads[k]
         c = edge_cost[k]
@@ -283,8 +254,8 @@ def restless_forward(
     return scan
 
 
-def push_forward(rep: SortedRepresentation, scan: RestlessScan, source: int,
-                 criterion: Criterion) -> RestlessScan:
+def push_forward(rep: SortedRepresentation, scan: SourceRun, source: int,
+                 criterion: Criterion) -> SourceRun:
     """The short-window forward, into a push scan: each reached edge's
     walks go straight into the positions of its window, which are
     scanned later; the source's one-edge walks are in place first."""
@@ -292,17 +263,17 @@ def push_forward(rep: SortedRepresentation, scan: RestlessScan, source: int,
     same, folded = extend is _same, tc is _folded
     edge_cost, edge_count = scan.edge_cost, scan.edge_count
     best_target, target_count, edge_tc = scan.best_target, scan.target_count, scan.edge_tc
-    touched = scan.touched
+    live, touched = scan.live, scan.touched
     e_dep_node, heads, arrs = rep.e_dep_node, rep.heads, rep.arrs
     win_lo, win_hi = scan.succ_lo, scan.succ_hi
 
     for f, t in zip(e_dep_node[source], rep.dep_times[source]):
         edge_cost[f], edge_count[f] = gamma(t), 1
-    scan.start = start = min(e_dep_node[source], default=rep.m)
-    for k in range(start, rep.m):
+    for k in range(scan.start, rep.m):
         cnt = edge_count[k]
         if not cnt:
             continue
+        live.append(k)
         v = heads[k]
         c = edge_cost[k]
         edge_tc[k] = val = c if folded else tc(arrs[k], c)
@@ -329,12 +300,13 @@ def restless_backward(
     rep: SortedRepresentation,
     source: int,
     criterion: Criterion,
-    fwd: RestlessScan,
+    fwd: SourceRun,
     targets: frozenset[int] | None = None,
 ) -> list[int]:
     """Per-edge betweenness numerators over ``fwd.denom``, set here with
-    ``fwd.node_num``, from the recorded successor windows; a reached edge
-    ends target-optimal walks when its target value is its head's
+    ``fwd.node_num``, from the successor windows of the reached edges
+    (``fwd.live``, visited in reverse); a reached edge ends
+    target-optimal walks when its target value is its head's
     ``best_target``.
 
     A successor has the extension of the scanned edge's cost; an
@@ -361,10 +333,7 @@ def restless_backward(
     cur_hi = [0] * n
     cur_want: list = [None] * n  # a reached edge's cost is never None
 
-    for k in range(m - 1, fwd.start - 1, -1):
-        cnt = edge_count[k]
-        if not cnt:
-            continue
+    for k in reversed(fwd.live):
         v = heads[k]
         nk = share[v] if edge_tc[k] == best_target[v] else 0
         lo, hi = succ_lo[k], succ_hi[k]
@@ -391,7 +360,7 @@ def restless_backward(
             delta[v] = d
             nk += d
         dep[k] = nk
-        edge_bc[k] = x = cnt * nk
+        edge_bc[k] = x = edge_count[k] * nk
         node_num[v] += x
 
     fwd.stats["window_ops"] += window_ops

@@ -286,11 +286,12 @@ def test_only_table_criterion_objects_accepted(workers):
         {"beta": "3"},
         {"sources": [0, 0]},
         {"sources": [99]},
+        {"sources": 3},
         {"engine": "foo"},
         {"workers": 1.5},
     ],
     ids=["beta-negative", "beta-float", "beta-str", "sources-repeat",
-         "sources-range", "engine-unknown", "workers-float"],
+         "sources-range", "sources-int", "engine-unknown", "workers-float"],
 )
 def test_bad_input_raises_config_error(toy, kwargs):
     with pytest.raises(ConfigError):

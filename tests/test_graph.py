@@ -71,6 +71,7 @@ def test_parse_utf8_labels():
         ("a b 1\nc d 2 0\n", 2),
         ("a b 1\nc d 2 -3\n", 2),
         ("a b 1\nx x 4\n", 2),
+        ("a b 1\nc #d 2\n", 2),  # as a tail, #d would start a comment
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line_no):
@@ -187,6 +188,9 @@ def test_str_parse_peaks_near_what_the_graph_keeps():
 def test_round_trip_serialization():
     text = "a b 1 2\nb c 4 1\na c 2 3\n"
     g = parse_edge_list(text)
+    g2 = parse_edge_list(to_edge_list(g))
+    assert g2.n == g.n and g2.edges == g.edges and g2.labels == g.labels
+    g = parse_edge_list(text, undirected=True)  # each head is also written as a tail
     g2 = parse_edge_list(to_edge_list(g))
     assert g2.n == g.n and g2.edges == g.edges and g2.labels == g.labels
 

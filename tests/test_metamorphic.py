@@ -112,7 +112,8 @@ def test_restless_forward_leaves_no_quintuple(graph, crit_name, beta, monkeypatc
     its tail-side step freezes it, so no quintuple outlives the scan.  A
     position of one that did would keep count 0, so the check is that
     the quintuple path's record equals the push path's, which makes no
-    quintuple, in every field but its windows' starts (succ_lo) and stats."""
+    quintuple, in every field but its windows' starts (succ_lo) and stats.
+    Both list every reached position in ``live``, which backward visits."""
     crit = get_criterion(crit_name)
     made = 0
     for g, sources in _graphs_and_sources(graph):
@@ -120,6 +121,8 @@ def test_restless_forward_leaves_no_quintuple(graph, crit_name, beta, monkeypatc
         for s in sources:
             push, fwd = [restless_forward(rep, s, crit, beta) for _ in restless_paths(monkeypatch)]
             assert _results(fwd) == _results(push), s
+            for run in (push, fwd):
+                assert run.live == [k for k, c in enumerate(run.edge_count) if c], s
             # backward's window sums read a None cost as unreached
             assert all((c is None) == (not x) for c, x in zip(fwd.edge_cost, fwd.edge_count))
             made += fwd.stats["quintuples"]

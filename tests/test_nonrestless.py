@@ -28,7 +28,7 @@ def test_forward_toy_costs_and_counts(toy):
     fwd = forward_phase(rep, 0)
     assert _by_original(rep, fwd.edge_cost) == {0: 1, 1: 2, 2: 1, 3: 2, 4: 2}
     assert _by_original(rep, fwd.edge_count) == {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}
-    assert fwd.best_cost[3] == 2 and fwd.best_count[3] == 2
+    assert fwd.best_target[3] == 2 and fwd.target_count[3] == 2
 
 
 def test_forward_isolated_source(toy):
@@ -36,7 +36,7 @@ def test_forward_isolated_source(toy):
     fwd = forward_phase(rep, 3)  # d has no outgoing edges
     assert all(c is None for c in fwd.edge_cost)
     assert all(c == 0 for c in fwd.edge_count)
-    assert all(fwd.best_count[v] == 0 for v in range(4) if v != 3)
+    assert all(fwd.target_count[v] == 0 for v in range(4) if v != 3)
 
 
 def test_forward_loop_counts_walks_that_revisit(loop):
@@ -59,7 +59,7 @@ def test_intermediate_toy_sfo_and_sh(toy):
     tc = _by_original(rep, sfo.edge_tc)
     assert tc[3] == sfo.best_target[3] != tc[4]  # only c->d attains it
     sh = intermediate_phase(rep, fwd.edge_cost, fwd.edge_count, get_criterion("sh"))
-    assert sh.target_count[3] == fwd.best_count[3] == 2
+    assert sh.target_count[3] == fwd.target_count[3] == 2
 
 
 def test_intermediate_unreachable_sentinels(toy):
@@ -119,10 +119,10 @@ def test_forward_state_matches_prefix_graphs():
                 count[v] += 1
         for v in range(g.n):
             if v in best:
-                assert fwd.best_cost[v] == best[v]
-                assert fwd.best_count[v] == count[v]
+                assert fwd.best_target[v] == best[v]
+                assert fwd.target_count[v] == count[v]
             else:
-                assert fwd.best_count[v] == 0
+                assert fwd.target_count[v] == 0
 
 
 @pytest.mark.parametrize("crit_name", CRITERION_NAMES)

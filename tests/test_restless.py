@@ -16,12 +16,11 @@ from tempobet.graph import (
     parse_edge_list,
     random_temporal_graph,
 )
+from tempobet.nonrestless import SourceRun, intermediate_phase
 from tempobet.nonrestless import forward_phase as nonrestless_forward
-from tempobet.nonrestless import intermediate_phase
 from tempobet.oracle import enumerate_walks, g_loop, g_toy, oracle_betweenness
 from tempobet.restless import (
     Quintuple,
-    RestlessScan,
     finalise_up_to,
     restless_backward,
     restless_forward,
@@ -85,9 +84,9 @@ def _staged_scan():
     and never in the run's memoised table, and node 0's by-departure list."""
     rep = build_sorted_representation(_staged_graph())
     n, m = rep.graph.n, rep.m
-    scan = RestlessScan(edge_cost=[None] * m, edge_count=[0] * m, succ_lo=[0] * m,
-                        succ_hi=[0] * m, best_target=[None] * n, target_count=[0] * n,
-                        edge_tc=[None] * m, touched=[], stats={"finalised": 0})
+    scan = SourceRun(edge_cost=[None] * m, edge_count=[0] * m, succ_lo=[0] * m,
+                     succ_hi=[0] * m, best_target=[None] * n, target_count=[0] * n,
+                     edge_tc=[None] * m, stats={"finalised": 0})
     return scan, rep.e_dep_node[0]
 
 
